@@ -41,6 +41,11 @@ class OpKind(enum.Enum):
     WRITE = "w"
     RMW = "u"  # "update"; reads `read_value` then writes `value` atomically
 
+    # Members are singletons compared by identity, so the C-level identity
+    # hash is consistent with equality; Enum's default hashes the name in
+    # Python, which dominated hashing an Operation.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
 

@@ -9,7 +9,9 @@ search layer runs on:
 * each processor's view membership (parameter 1) as index lists in the
   view-contents order the witnesses are built in,
 * the per-view ordering constraints (parameter 3) plus release
-  consistency's bracketing edges as predecessor bitmasks, and
+  consistency's bracketing edges as predecessor bitmasks — for
+  semi-causality, a coherence-independent part plus a per-candidate
+  delta (see :meth:`CompiledConstraints.ordering_masks`), and
 * the reads-from propagation edges that make the search incremental
   (see :func:`CompiledConstraints.candidate_propagation`).
 
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.core.errors import KernelError
 from repro.core.history import SystemHistory
@@ -39,12 +41,13 @@ from repro.orders.memo import active_memo
 from repro.orders.relation import Relation
 from repro.orders.writes_before import ReadsFrom, reads_from_candidates
 from repro.spec.model_spec import MemoryModelSpec
-from repro.spec.parameters import MutualConsistency, OperationSet
+from repro.spec.parameters import PPO, SEMI_CAUSAL, MutualConsistency, OperationSet
 
 __all__ = [
     "CompiledConstraints",
     "AttributionPlane",
     "HistoryPlane",
+    "SemiCausalRows",
     "ViewPlane",
     "compile_constraints",
     "configure_plane_cache",
@@ -615,8 +618,10 @@ def extend_plane(
             rows.insert(pos, insert_bit(row, pos))
             plane.masks[key] = rows
             continue
-        if isinstance(key, tuple):
-            continue  # own-view restrictions are cheap to rebuild on demand
+        if isinstance(key, tuple) or key == "sem":
+            # Own-view restrictions and the semi-causal rows are cheap to
+            # rebuild on demand from the grown rule rows.
+            continue
         row_old = _extended_rule_row(key, old, value, op, src if op.is_read else None)
         if row_old is None:
             continue
@@ -626,10 +631,70 @@ def extend_plane(
     return plane
 
 
+class SemiCausalRows(NamedTuple):
+    """The coherence-independent part of semi-causality for one attribution.
+
+    ``->sem = (->ppo ∪ ->rwb ∪ ->rrb)+`` (paper Section 3.3), and only
+    ``->rrb`` depends on the coherence order, so the rest is compiled once
+    per attribution and each mutual candidate ORs in its ``->rrb`` delta
+    (:meth:`CompiledConstraints.ordering_masks`).
+    """
+
+    #: ``(->ppo ∪ ->rwb)+`` as predecessor masks, diagonal clear.  A read
+    #: ``r`` with source ``s`` gains ``ppo[s] & writes & ~bit(s)`` (rwb).
+    closed: list[int]
+    #: Per universe index of a write: the writes ``->ppo``-after it (the
+    #: ``->rrb`` targets a coherence-newer write contributes); 0 elsewhere.
+    later: list[int]
+    #: ``(read index, location, source index or -1)`` per attributed read.
+    reads: tuple[tuple[int, str, int], ...]
+
+
+def _compile_semi_causal(
+    ppo: Sequence[int],
+    rf: ReadsFrom,
+    index: Mapping[Operation, int],
+    write_idx: Sequence[int],
+) -> SemiCausalRows:
+    """Compile :class:`SemiCausalRows` from the closed ``->ppo`` rows."""
+    writes = 0
+    for iw in write_idx:
+        writes |= 1 << iw
+    rows = list(ppo)
+    reads: list[tuple[int, str, int]] = []
+    for r, src in rf.items():
+        ir = index[r]
+        if src is None:
+            reads.append((ir, r.location, -1))
+        else:
+            isrc = index[src]
+            rows[ir] |= ppo[isrc] & writes & ~(1 << isrc)
+            reads.append((ir, r.location, isrc))
+    later = [0] * len(ppo)
+    for iw in write_idx:
+        m = ppo[iw] & writes
+        while m:
+            bit = m & -m
+            m ^= bit
+            later[bit.bit_length() - 1] |= 1 << iw
+    closed = close_masks(rows)
+    for i in range(len(closed)):
+        closed[i] &= ~(1 << i)
+    return SemiCausalRows(closed, later, tuple(reads))
+
+
 class AttributionPlane:
     """The reads-from-dependent slice of a compiled constraint set."""
 
-    __slots__ = ("rf", "ordering", "own_ordering", "bracketing", "src_idx", "prop")
+    __slots__ = (
+        "rf",
+        "ordering",
+        "own_ordering",
+        "bracketing",
+        "sem",
+        "src_idx",
+        "prop",
+    )
 
     def __init__(
         self,
@@ -645,10 +710,33 @@ class AttributionPlane:
         # HistoryPlane across the specs that reuse the same ordering rule.
         cache = cc.hp.masks if unique else None
         #: Static ordering pred masks; ``None`` when the ordering needs a
-        #: coherence order and must be built per mutual candidate.
+        #: coherence order and is completed per mutual candidate from
+        #: :attr:`sem`.
         self.ordering: list[int] | None = None
         self.own_ordering: dict[Any, list[int]] | None = None
-        if not spec.ordering.needs_coherence:
+        self.sem: SemiCausalRows | None = None
+        if spec.ordering.needs_coherence:
+            if spec.ordering != SEMI_CAUSAL:
+                raise KernelError(
+                    f"{spec.name}: the kernel compiles semi-causality as its "
+                    f"only coherence-dependent ordering, not "
+                    f"{spec.ordering.name!r}"
+                )
+            if cache is not None and "sem" in cache:
+                self.sem = cache["sem"]
+            else:
+                if cache is not None and PPO in cache:
+                    ppo = cache[PPO]
+                else:
+                    ppo = PPO.build(history, rf, None).pred_masks(cc.ops)
+                    if cache is not None:
+                        cache[PPO] = ppo
+                self.sem = _compile_semi_causal(
+                    ppo, rf, cc.index, cc.hp.write_idx
+                )
+                if cache is not None:
+                    cache["sem"] = self.sem
+        else:
             rule = spec.ordering
             if cache is not None and rule in cache:
                 self.ordering = cache[rule]
@@ -714,7 +802,6 @@ class CompiledConstraints:
         "identical",
         "own_view_only",
         "bracketing",
-        "needs_coherence",
         "procs",
         "views",
         "own_bits",
@@ -734,7 +821,6 @@ class CompiledConstraints:
         self.identical = spec.mutual_consistency is MutualConsistency.IDENTICAL
         self.own_view_only = spec.ordering_own_view_only
         self.bracketing = spec.bracketing
-        self.needs_coherence = spec.ordering.needs_coherence
         self.procs = history.procs
         self.views = hp.views(spec.operation_set)
         self.writers_by_loc = hp.writers_by_loc
@@ -787,6 +873,73 @@ class CompiledConstraints:
         return out
 
     # -- per-candidate assembly ------------------------------------------------
+
+    def ordering_masks(
+        self,
+        plane: AttributionPlane,
+        coherence: Mapping[str, tuple[Operation, ...]] | None,
+    ) -> list[int] | None:
+        """The ordering's predecessor masks under one mutual candidate.
+
+        The attribution plane's static rows for coherence-independent
+        orderings.  For semi-causality, exactly
+        ``sem_relation(history, rf, coherence).pred_masks(ops)``: each read
+        gains, as ``->rrb`` successors, the writes ``->ppo``-after any
+        write coherence-newer than its source, OR'd into the compiled
+        ``(->ppo ∪ ->rwb)+`` rows.  Those rows are already closed, so the
+        re-closure only pivots on the operations the delta touches (every
+        path of the union shortens to one whose inner vertices do).  The
+        returned list is shared when the delta is empty; callers copy.
+        """
+        sem = plane.sem
+        if sem is None:
+            return plane.ordering
+        assert coherence is not None  # spec validation: sem needs write orders
+        closed, later, reads = sem
+        index = self.index
+        # Per location, suffix ORs of ``later`` along the coherence chain:
+        # ``tail[loc][k]`` covers every write from position ``k`` on.
+        pos: dict[int, int] = {}
+        tail: dict[str, list[int]] = {}
+        for loc, chain in coherence.items():
+            suffix = [0] * (len(chain) + 1)
+            acc = 0
+            for k in range(len(chain) - 1, -1, -1):
+                iw = index[chain[k]]
+                pos[iw] = k
+                acc |= later[iw]
+                suffix[k] = acc
+            tail[loc] = suffix
+        masks: list[int] | None = None
+        pivots = 0
+        for ir, loc, isrc in reads:
+            suffix = tail.get(loc)
+            if suffix is None:
+                continue
+            targets = suffix[0] if isrc < 0 else suffix[pos[isrc] + 1]
+            if not targets:
+                continue
+            if masks is None:
+                masks = list(closed)
+            bit = 1 << ir
+            pivots |= bit | targets
+            while targets:
+                t = targets & -targets
+                targets ^= t
+                masks[t.bit_length() - 1] |= bit
+        if masks is None:
+            return closed
+        n = self.n
+        while pivots:
+            kb = pivots & -pivots
+            pivots ^= kb
+            pk = masks[kb.bit_length() - 1]
+            for i in range(n):
+                if masks[i] & kb:
+                    masks[i] |= pk
+        for i in range(n):
+            masks[i] &= ~(1 << i)
+        return masks
 
     def _base_masks(
         self,

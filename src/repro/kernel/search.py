@@ -661,13 +661,7 @@ def _search_candidates(
                     if reuse.needs_probe(cand):
                         # The appended ops entered this candidate's chains,
                         # so the acyclicity gate could now flip; replay it.
-                        ordering = (
-                            spec.ordering.build(
-                                history, rf, cand.coherence
-                            ).pred_masks(cc.ops)
-                            if cc.needs_coherence
-                            else None
-                        )
+                        ordering = cc.ordering_masks(plane, cand.coherence)
                         if not cc.base_acyclic(plane, cand.chains, ordering):
                             reuse.record(cand, "cyclic")
                             continue
@@ -683,13 +677,7 @@ def _search_candidates(
                             f"{budget.max_serializations} candidate serializations"
                         )
                     continue
-                ordering = (
-                    spec.ordering.build(history, rf, cand.coherence).pred_masks(
-                        cc.ops
-                    )
-                    if cc.needs_coherence
-                    else None
-                )
+                ordering = cc.ordering_masks(plane, cand.coherence)
                 prepared = cc.assemble_base(plane, cand.chains, ordering)
                 if prepared is None:
                     reuse.record(cand, "cyclic")
@@ -726,12 +714,7 @@ def _search_candidates(
                     break
                 chunk_size = min(chunk_size * 4, _FRONTIER_RAMP_CAP)
                 orderings = [
-                    spec.ordering.build(history, rf, cand.coherence).pred_masks(
-                        cc.ops
-                    )
-                    if cc.needs_coherence
-                    else None
-                    for cand in chunk
+                    cc.ordering_masks(plane, cand.coherence) for cand in chunk
                 ]
                 gated = _gate_chunk(cc, plane, chunk, orderings)
                 for cand, prepared in zip(chunk, gated):
@@ -939,11 +922,7 @@ def _first_failure(
         for cand in iter_mutual_candidates(
             spec, history, rf, use_reads_from_pruning=budget.use_reads_from_pruning
         ):
-            ordering = (
-                spec.ordering.build(history, rf, cand.coherence).pred_masks(cc.ops)
-                if cc.needs_coherence
-                else None
-            )
+            ordering = cc.ordering_masks(plane, cand.coherence)
             prepared = cc.assemble_base(plane, cand.chains, ordering)
             if prepared is None:
                 return _cyclic_counterexample(spec, history, rf, cand)

@@ -16,7 +16,13 @@ import pytest
 
 from repro.checking.models import MODELS, model_names
 from repro.core.errors import CheckerError
-from repro.kernel.constraints import HistoryPlane, extend_plane
+from repro.core.serialization import history_from_dict, history_to_dict
+from repro.kernel.constraints import (
+    HistoryPlane,
+    compile_constraints,
+    extend_plane,
+    history_plane,
+)
 from repro.kernel.incremental import HistoryStream, IncrementalCheck
 from repro.kernel.results import CheckResult
 from repro.kernel.search import check_with_spec
@@ -156,6 +162,62 @@ def test_grown_plane_equals_fresh_compile(name):
             assert plane_fingerprint(stream.plane) == plane_fingerprint(
                 fresh
             ), f"{name} at {len(stream.history.operations)} ops"
+
+
+@pytest.mark.parametrize("name", list(CATALOG))
+def test_grown_plane_semi_causal_rows_equal_fresh_compile(name):
+    """PC's cached semi-causal rows: dropped on append, rebuilt as fresh.
+
+    Every prefix is compiled for PC first, so the plane being grown holds
+    the ``"sem"`` entry; after the append the grown plane must not carry a
+    stale copy, and compiling PC on it must leave every mask entry equal
+    to a fresh compile of a value-equal history.
+    """
+    spec = MODELS["PC"].spec
+    stream = HistoryStream()
+    for op in interleaved(CATALOG[name].history):
+        _, reused = stream.append(op)
+        grown = stream.plane
+        rf = grown.unique_rf
+        if rf is None:
+            continue
+        if reused:
+            assert "sem" not in grown.masks
+        compile_constraints(spec, stream.history).plane(rf, True)
+        assert "sem" in grown.masks
+        twin = history_from_dict(history_to_dict(stream.history))
+        fresh_rf = history_plane(twin).unique_rf
+        compile_constraints(spec, twin).plane(fresh_rf, True)
+        assert grown.masks == history_plane(twin).masks, (
+            f"{name} at {len(stream.history.operations)} ops"
+        )
+
+
+#: The IRIW denial core with three writes per writer, so coherence
+#: candidates give the readers non-empty ``->rrb`` deltas, plus inert
+#: initial-value reads that rescue nothing.
+IRIW_STREAM = (
+    "p: w(x)1 w(x)2 w(x)3 r(z)0 | q: w(x)4 w(x)5 w(x)6 r(z)0 "
+    "| r: r(x)3 r(x)6 r(z)0 | s: r(x)6 r(x)3 r(z)0"
+)
+
+
+def test_pc_session_over_iriw_matches_fresh_checks():
+    """A PC-only EngineSession agrees with one-shot checks at every prefix."""
+    from repro.engine import EngineSession
+
+    spec = MODELS["PC"].spec
+    session = EngineSession(("PC",))
+    verdicts = []
+    for op in interleaved(parse_history(IRIW_STREAM)):
+        got = session.append(op)["PC"]
+        want = check_with_spec(spec, session.history)
+        assert fingerprint(got) == fingerprint(want), (
+            f"at {len(session.history.operations)} ops"
+        )
+        assert got.witness == want.witness
+        verdicts.append(got.allowed)
+    assert verdicts[0] and not verdicts[-1]
 
 
 def test_extend_plane_is_what_the_stream_uses():

@@ -126,6 +126,33 @@ class TestHistoryPlane:
         h = parse_history("p: w(x)1 | q: w(x)1 | r: r(x)1")
         assert history_plane(h).unique_rf is None
 
+    def test_semi_causal_rows_share_the_ppo_entry(self):
+        from repro.spec.parameters import PPO
+        from repro.spec.registry import PC_SPEC
+
+        h = parse_history("p: w(x)1 w(x)2 | q: r(x)2 r(x)1")
+        hp = history_plane(h)
+        check_with_spec(PC_SPEC, h)
+        assert {PPO, "sem"} <= set(hp.masks)
+        ppo = hp.masks[PPO]
+        check_with_spec(TSO_SPEC, h)  # reuses PC's ppo rows, and vice versa
+        assert hp.masks[PPO] is ppo
+
+    def test_other_coherence_dependent_orderings_are_refused(self):
+        from repro.core.errors import KernelError
+        from repro.spec import MemoryModelSpec
+        from repro.spec.parameters import OrderingRule, PO
+
+        rule = OrderingRule("po-co", PO.build, needs_coherence=True)
+        spec = MemoryModelSpec(
+            name="po-co",
+            operation_set=OperationSet.REMOTE_WRITES,
+            mutual_consistency=MutualConsistency.COHERENCE,
+            ordering=rule,
+        )
+        with pytest.raises(KernelError, match="semi-causality"):
+            check_with_spec(spec, parse_history("p: w(x)1 | q: r(x)1"))
+
 
 class TestCacheTwinRegression:
     """A compiled plane must serve value-equal history twins.
