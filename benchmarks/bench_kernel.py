@@ -75,104 +75,3 @@ def test_bench_generic_solver_single(benchmark, which, name):
         return [check(spec, h).allowed for spec in ALL_SPECS]
 
     benchmark(one)
-
-
-# -- E17: the numpy mask backend vs the pure-Python reference ------------------
-#
-# The backend claim is about the *batched frontier gate* — the operation
-# the numpy backend exists for — measured on each backend's native
-# representation: the reference gates one candidate's int-mask rows at a
-# time (the sequential driver's shape), the numpy backend gates a whole
-# packed (B, n) word matrix per call (the batched driver's shape, and
-# exactly the form the shared-memory arena stores).  The workload is not
-# synthetic: it is every gate call the real catalog sweep makes, recorded
-# via RecordingBackend and tiled up to frontier scale.  End-to-end check
-# time is dominated by candidate enumeration and the per-view search,
-# which are identical across backends — as are all verdicts and
-# witnesses, asserted below over the full catalog x model x prepass
-# matrix.
-
-import os
-
-from repro.core.serialization import check_result_to_dict
-from repro.kernel.backend import RecordingBackend, get_backend, use_backend
-from repro.litmus import format_history
-
-QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
-
-#: Tiled frontier size per universe-width group (rows).
-FRONTIER_ROWS = 1024 if QUICK else 4096
-
-
-def _harvest_gate_workload():
-    """Every (masks, n) gate call of one real catalog x spec sweep."""
-    recorder = RecordingBackend(get_backend("python"))
-    with use_backend(recorder):
-        for spec, h in PAIRS:
-            check_with_spec(spec, h)
-    by_n: dict[int, list[list[int]]] = {}
-    for batch, n in recorder.gate_calls:
-        by_n.setdefault(n, []).extend(batch)
-    return by_n
-
-
-def _tile(rows, target):
-    out = list(rows)
-    while len(out) < target:
-        out.extend(rows)
-    return out[:target]
-
-
-def test_numpy_backend_gate_speedup():
-    """The acceptance bar: ≥10× on the catalog sweep's gate workload."""
-    numpy_backend = get_backend("numpy")
-    python_backend = get_backend("python")
-    by_n = _harvest_gate_workload()
-    workload = {
-        n: _tile(rows, FRONTIER_ROWS) for n, rows in by_n.items() if rows
-    }
-    packed = {
-        n: numpy_backend.pack(rows, n) for n, rows in workload.items()
-    }
-
-    # Identical gates first — a fast wrong answer is not a speedup.
-    for n, rows in workload.items():
-        assert numpy_backend.gate_batch(rows, n) == [
-            python_backend.gate(r, n) for r in rows
-        ]
-
-    def python_sweep():
-        for n, rows in workload.items():
-            for r in rows:
-                python_backend.gate(r, n)
-
-    def numpy_sweep():
-        for n, arr in packed.items():
-            numpy_backend.gate_packed(arr, n)
-
-    reps = 3 if QUICK else 5
-    python_s = _best_of(python_sweep, reps)
-    numpy_s = _best_of(numpy_sweep, reps)
-    speedup = python_s / numpy_s
-    total = sum(len(rows) for rows in workload.values())
-    print(
-        f"\ngate workload ({total} rows, widths {sorted(workload)}): "
-        f"python {python_s * 1e3:.1f}ms, numpy {numpy_s * 1e3:.2f}ms, "
-        f"speedup {speedup:.1f}x"
-    )
-    assert speedup >= 10.0, f"numpy backend speedup: {speedup:.1f}x < 10x"
-
-
-def test_backend_verdicts_and_witnesses_byte_identical():
-    """python ≡ numpy: full results on every catalog x model x prepass."""
-    pairs = PAIRS[:: 4] if QUICK else PAIRS
-    for prepass in (False, True):
-        for spec, h in pairs:
-            with use_backend("python"):
-                ref = check_result_to_dict(check_with_spec(spec, h, prepass=prepass))
-            with use_backend("numpy"):
-                got = check_result_to_dict(check_with_spec(spec, h, prepass=prepass))
-            assert ref == got, (
-                f"backend divergence on {format_history(h)!r} under "
-                f"{spec.name} (prepass={prepass})"
-            )

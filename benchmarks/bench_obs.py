@@ -4,8 +4,8 @@
 installed, ``check_with_spec`` runs the same search it ran before the
 instrumentation landed.  Two properties keep that promise honest:
 
-* the inner DFS is untouched — tracing uses a separate
-  ``_dfs_find_traced`` copy, so the hot loop has no sink branch at all;
+* the inner DFS is the one ``_dfs_find``; untraced, its only added cost
+  is an ``is None`` test at each placement and each backtrack;
 * every other emission sits behind an ``if sink is not None`` guard, and
   the public entry point resolves the process-global sink exactly once.
 

@@ -15,6 +15,8 @@ Two flavors:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.checking.result import CheckResult
 from repro.checking.solver import SearchBudget, check_with_spec
 from repro.core.history import SystemHistory
@@ -37,11 +39,7 @@ def check_pc_goodman(
     history: SystemHistory, budget: SearchBudget | None = None
 ) -> CheckResult:
     """Decide Goodman-style processor consistency (PRAM + coherence)."""
-    result = check_with_spec(COHERENT_PRAM_SPEC, history, budget)
-    return CheckResult(
-        "PC-G", result.allowed, views=result.views,
-        reason=result.reason, explored=result.explored,
-    )
+    return replace(check_with_spec(COHERENT_PRAM_SPEC, history, budget), model="PC-G")
 
 
 def is_pc_goodman(history: SystemHistory) -> bool:

@@ -83,7 +83,7 @@ def _views_for_write_order(
     nwrites = len(order)
     views: dict[Any, View] = {}
     for proc in history.procs:
-        slots = _place_reads(history, proc, order, wpos)
+        slots = _place_reads(history, proc, order, wpos, ppo)
         if slots is None:
             return None
         # Interleave: reads assigned slot s appear just before order[s].
@@ -105,6 +105,7 @@ def _place_reads(
     proc: Any,
     order: list[Operation],
     wpos: dict[tuple, int],
+    ppo: Relation[Operation],
 ) -> list[int] | None:
     """Earliest-feasible slots for ``proc``'s reads, or ``None``.
 
@@ -119,7 +120,6 @@ def _place_reads(
             vals.append(w.value_written if w.location == loc else vals[-1])
         value_at[loc] = vals
 
-    ppo = ppo_relation(history)  # cached upstream in check_tso's caller loop
     own_ops = history.ops_of(proc)
     own_writes = [op for op in own_ops if op.is_write]
     reads = [op for op in own_ops if op.is_pure_read]

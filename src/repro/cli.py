@@ -101,13 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="incremental mode: read op lines ('proc: op [op ...]') from "
         "stdin and print a per-op admit/deny verdict after each append",
     )
-    p_check.add_argument(
-        "--backend",
-        choices=("python", "numpy"),
-        default=None,
-        help="kernel mask backend (default: REPRO_BACKEND or python); "
-        "verdicts are identical either way",
-    )
 
     p_classify = sub.add_parser("classify", help="decide one history under all models")
     p_classify.add_argument("history")
@@ -198,13 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-prepass",
         action="store_true",
         help="disable the static DENY pre-pass (same verdicts, more searching)",
-    )
-    p_sweep.add_argument(
-        "--backend",
-        choices=("python", "numpy"),
-        default=None,
-        help="kernel mask backend for every worker (default: REPRO_BACKEND "
-        "or python); verdicts are identical either way",
     )
 
     p_fuzz = sub.add_parser(
@@ -428,13 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--quiet", action="store_true", help="suppress per-request log lines"
     )
-    p_serve.add_argument(
-        "--backend",
-        choices=("python", "numpy"),
-        default=None,
-        help="kernel mask backend for the whole service (default: "
-        "REPRO_BACKEND or python); verdicts are identical either way",
-    )
 
     p_store = sub.add_parser(
         "store",
@@ -480,10 +459,6 @@ def _resolve_history(text: str):
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    if args.backend is not None:
-        from repro.kernel.backend import set_backend
-
-        set_backend(args.backend)
     if args.stream:
         return _cmd_check_stream(args)
     if args.history is None:
@@ -701,7 +676,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         store_views=args.store_views,
         prepass=not args.no_prepass,
-        backend=args.backend,
     )
     if args.out:
         with open_store(args.out) as store:
@@ -1096,7 +1070,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         request_timeout=args.timeout,
         max_request_bytes=args.max_request_bytes,
         log_requests=not args.quiet,
-        backend=args.backend,
     )
     return run_server(config)
 

@@ -92,4 +92,4 @@ class DiffError(ReproError):
 
 
 class KernelError(ReproError):
-    """The constraint kernel was misconfigured (unknown backend, bad plane)."""
+    """The constraint kernel was misconfigured (for example, a bad plane)."""

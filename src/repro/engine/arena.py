@@ -6,8 +6,8 @@ history as a pickled wire dict and recompiles its
 engine instead writes each history once into a
 :class:`multiprocessing.shared_memory` segment — the wire dict plus the
 plane's compiled unique-attribution ordering masks, packed as raw
-little-endian ``uint64`` words (the numpy backend's native matrix form) —
-and ships jobs as segment names.  Workers attach (a zero-copy mapping, no
+little-endian ``uint64`` words, one word per mask row — and ships jobs
+as segment names.  Workers attach (a zero-copy mapping, no
 pickle byte-stream per job), rebuild the history from the header, seed
 the plane's mask cache from the packed words, and install the result into
 the kernel's plane LRU, so repeated sweeps over the same corpus skip both

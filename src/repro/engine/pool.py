@@ -40,7 +40,6 @@ from repro.engine.cache import RelationCache
 from repro.engine.jobs import SweepSpec
 from repro.engine.metrics import EngineMetrics
 from repro.engine.store import ResultStore
-from repro.kernel.backend import set_backend, use_backend
 from repro.kernel.constraints import install_plane
 from repro.orders.memo import relation_memo
 
@@ -112,15 +111,8 @@ def _warm_models() -> None:
         check(tiny, name)
 
 
-def _init_worker(
-    cache_histories: int,
-    store_views: bool,
-    prepass: bool,
-    backend: str | None = None,
-) -> None:
+def _init_worker(cache_histories: int, store_views: bool, prepass: bool) -> None:
     global _WORKER_STATE
-    if backend is not None:
-        set_backend(backend)
     _warm_models()
     _WORKER_STATE = _fresh_state(cache_histories, store_views, prepass)
 
@@ -293,9 +285,6 @@ class CheckEngine:
         :class:`~repro.engine.arena.PlaneArena` instead of pickling each
         history per job.  Results are identical either way; call
         :meth:`close` (or use the engine as a context manager) when done.
-    backend:
-        Kernel mask backend name for the workers (and the in-process
-        path); ``None`` inherits the process default (``REPRO_BACKEND``).
     """
 
     def __init__(
@@ -306,7 +295,6 @@ class CheckEngine:
         store_views: bool = False,
         prepass: bool = True,
         persistent: bool = False,
-        backend: str | None = None,
     ) -> None:
         if jobs < 1:
             raise EngineError(f"jobs must be >= 1, got {jobs}")
@@ -318,7 +306,6 @@ class CheckEngine:
         self.store_views = store_views
         self.prepass = prepass
         self.persistent = persistent
-        self.backend = backend
         self._local_state: dict | None = None
         # The persistent pool lives in a one-slot holder so a finalizer can
         # terminate it without keeping the engine itself alive.
@@ -374,11 +361,8 @@ class CheckEngine:
         names = tuple(models) if models is not None else model_names()
         from repro.staticcheck.prepass import prepass_check
 
-        from contextlib import nullcontext
-
         verdicts: dict[str, bool] = {}
-        scope = use_backend(self.backend) if self.backend is not None else nullcontext()
-        with scope, relation_memo(self.cache):
+        with relation_memo(self.cache):
             for name in names:
                 spec = MODELS[name].spec if self.prepass else None
                 verdict = prepass_check(spec, history) if spec is not None else None
@@ -555,11 +539,6 @@ class CheckEngine:
             state["store_views"] = self.store_views
             state["prepass"] = self.prepass
             self._local_state = state
-            if self.backend is not None:
-                with use_backend(self.backend):
-                    for chunk in chunks:
-                        yield impl(chunk, state)
-                return
             for chunk in chunks:
                 yield impl(chunk, state)
             return
@@ -574,7 +553,6 @@ class CheckEngine:
                             self.cache_histories,
                             self.store_views,
                             self.prepass,
-                            self.backend,
                         ),
                     )
                 )
@@ -584,11 +562,6 @@ class CheckEngine:
         with ctx.Pool(
             processes=self.jobs,
             initializer=_init_worker,
-            initargs=(
-                self.cache_histories,
-                self.store_views,
-                self.prepass,
-                self.backend,
-            ),
+            initargs=(self.cache_histories, self.store_views, self.prepass),
         ) as pool:
             yield from pool.imap(worker, chunks)

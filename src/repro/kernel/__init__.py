@@ -23,18 +23,15 @@ layers, and every checker reports through the shared
 ``Counterexample`` types.
 
 The mask-plane operations the layers bottom out in (transitive closure,
-acyclicity, the candidate gate) are pluggable: :mod:`repro.kernel.backend`
-holds the pure-Python reference implementation and a batched numpy
-bit-matrix backend, selected by ``REPRO_BACKEND`` / ``--backend`` — with
-verdicts and witnesses byte-identical across backends (docs/kernel.md).
+acyclicity, the candidate gate) live in :mod:`repro.kernel.backend`: one
+int-bitmask implementation behind a small interface, which a benchmark or
+test can wrap with :func:`use_backend` to count or time every gate
+(docs/kernel.md).
 """
 
 from repro.kernel.backend import (
     MaskBackend,
     active_backend,
-    available_backends,
-    get_backend,
-    set_backend,
     use_backend,
 )
 from repro.kernel.constraints import (
@@ -84,9 +81,6 @@ __all__ = [
     "configure_plane_cache",
     "MaskBackend",
     "active_backend",
-    "available_backends",
-    "get_backend",
-    "set_backend",
     "use_backend",
     "HistoryStream",
     "IncrementalCheck",

@@ -24,7 +24,8 @@ cached for the unambiguous one).
 
 Mask conventions: ``masks[j]`` bit ``i`` set means *operation i must precede
 operation j*.  :func:`close_masks` is a bitset Floyd–Warshall transitive
-closure; :func:`masks_acyclic` a Kahn peeling test.  Both replace the
+closure; :func:`masks_acyclic` a Kahn peeling test.  Both live with the
+candidate gate in :mod:`repro.kernel.backend` and replace the
 ``Relation``-object churn the pre-kernel solver paid per candidate.
 """
 
@@ -37,6 +38,7 @@ from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 from repro.core.errors import KernelError
 from repro.core.history import SystemHistory
 from repro.core.operation import INITIAL_VALUE, Operation
+from repro.kernel.backend import active_backend, close_masks, masks_acyclic
 from repro.orders.memo import active_memo
 from repro.orders.relation import Relation
 from repro.orders.writes_before import ReadsFrom, reads_from_candidates
@@ -78,37 +80,6 @@ def chain_masks(masks: list[int], chain: Iterable[int]) -> None:
     for i in chain:
         masks[i] |= seen
         seen |= 1 << i
-
-
-def close_masks(masks: Sequence[int]) -> list[int]:
-    """Transitive closure of predecessor masks (bitset Floyd–Warshall)."""
-    out = list(masks)
-    n = len(out)
-    for k in range(n):
-        pk = out[k]
-        if not pk:
-            continue
-        bit = 1 << k
-        for i in range(n):
-            if out[i] & bit:
-                out[i] |= pk
-    return out
-
-
-def masks_acyclic(masks: Sequence[int], n: int) -> bool:
-    """True when the constraint graph the masks encode has no cycle."""
-    remaining = (1 << n) - 1
-    changed = True
-    while remaining and changed:
-        changed = False
-        m = remaining
-        while m:
-            bit = m & -m
-            m ^= bit
-            if not masks[bit.bit_length() - 1] & remaining:
-                remaining ^= bit
-                changed = True
-    return not remaining
 
 
 def restrict_masks(masks: Sequence[int], members: Sequence[int]) -> list[int]:
@@ -983,11 +954,16 @@ class CompiledConstraints:
         restriction to any view preserves all orderings.  Returns the
         closed masks and the per-processor own-ordering masks (``None``
         when the ordering already lives in the base).
+
+        The gate itself is the active backend's (see
+        :mod:`repro.kernel.backend`): every full gate of a candidate
+        passes through this call.
         """
         masks, own = self._base_masks(plane, chains, ordering)
-        if not masks_acyclic(masks, self.n):
+        (closed,) = active_backend().gate_batch([masks], self.n)
+        if closed is None:
             return None
-        return close_masks(masks), own
+        return closed, own
 
     def base_acyclic(
         self,

@@ -33,14 +33,12 @@ All fast paths and all experiments use distinct values.
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.core.errors import CheckerError
 from repro.core.history import SystemHistory
 from repro.core.operation import INITIAL_VALUE, Operation
 from repro.core.view import View
-from repro.kernel.backend import active_backend
 from repro.kernel.constraints import (
     CompiledConstraints,
     compile_constraints,
@@ -119,11 +117,22 @@ def _dfs_find(
     n_locs: int,
     initial: int,
     memoize: bool,
+    sink: TraceSink | None = None,
+    proc: str = "",
+    render: Sequence[str] = (),
+    on_fail: Callable[[int, tuple[int, ...]], None] | None = None,
 ) -> list[int] | None:
     """One legal extension as local indices, or ``None``.
 
     Deterministic: operations are tried in index order, so given equal
     inputs the same witness is returned.
+
+    With ``sink`` set, every placement and backtrack is narrated as a
+    ``NodeEntered``/``Backtracked`` event labelled ``proc``, naming the
+    operation by ``render``; search order, memoization and the witness do
+    not change.  ``on_fail(placed, values)`` is called at every state the
+    search leaves failed, just before it is memoized (the explain path
+    finds its deepest dead end this way).
     """
     full = (1 << n) - 1
     failed: set[tuple[int, tuple[int, ...]]] = set()
@@ -147,67 +156,16 @@ def _dfs_find(
             new_values = values
             if wv is not None and values[li] != wv:
                 new_values = values[:li] + (wv,) + values[li + 1:]
+            if sink is not None:
+                sink.emit(NodeEntered(proc=proc, depth=len(order), op=render[i]))
             order.append(i)
             if dfs(placed | bit, new_values):
                 return True
             order.pop()
-        if memoize:
-            failed.add(key)
-        return False
-
-    if dfs(0, tuple([initial] * n_locs)):
-        return order
-    return None
-
-
-def _dfs_find_traced(
-    n: int,
-    pred: Sequence[int],
-    op_loc: Sequence[int],
-    read_vals: Sequence[int | None],
-    write_vals: Sequence[int | None],
-    n_locs: int,
-    initial: int,
-    memoize: bool,
-    sink: TraceSink,
-    proc: str,
-    render: Sequence[str],
-) -> list[int] | None:
-    """:func:`_dfs_find` narrating every placement/backtrack to ``sink``.
-
-    A separate function rather than a flag so the untraced hot path stays
-    byte-for-byte the pre-instrumentation code — ``bench_obs.py`` holds
-    the disabled overhead under 3%.  Search order, memoization and the
-    returned witness are identical to :func:`_dfs_find`.
-    """
-    full = (1 << n) - 1
-    failed: set[tuple[int, tuple[int, ...]]] = set()
-    order: list[int] = []
-
-    def dfs(placed: int, values: tuple[int, ...]) -> bool:
-        if placed == full:
-            return True
-        key = (placed, values)
-        if memoize and key in failed:
-            return False
-        for i in range(n):
-            bit = 1 << i
-            if placed & bit or (pred[i] & ~placed):
-                continue
-            li = op_loc[i]
-            rv = read_vals[i]
-            if rv is not None and values[li] != rv:
-                continue
-            wv = write_vals[i]
-            new_values = values
-            if wv is not None and values[li] != wv:
-                new_values = values[:li] + (wv,) + values[li + 1:]
-            sink.emit(NodeEntered(proc=proc, depth=len(order), op=render[i]))
-            order.append(i)
-            if dfs(placed | bit, new_values):
-                return True
-            order.pop()
-            sink.emit(Backtracked(proc=proc, depth=len(order), op=render[i]))
+            if sink is not None:
+                sink.emit(Backtracked(proc=proc, depth=len(order), op=render[i]))
+        if on_fail is not None:
+            on_fail(placed, values)
         if memoize:
             failed.add(key)
         return False
@@ -493,40 +451,6 @@ def _check_with_spec_impl(
             sink.emit(PhaseMark(phase="search", mark="end"))
 
 
-#: Frontier chunk sizes for batched candidate gating: start at one so the
-#: common admit-on-first-candidate check pays nothing for batching, ramp
-#: geometrically so DENY verdicts (which enumerate the whole frontier
-#: anyway) hand the backend large batches.
-_FRONTIER_RAMP_CAP = 64
-
-
-def _gate_chunk(
-    cc: CompiledConstraints,
-    plane,
-    chunk: Sequence[Any],
-    orderings: Sequence[Sequence[int] | None],
-) -> list[tuple[list[int], dict[Any, list[int]] | None] | None]:
-    """Assemble and gate a whole chunk of mutual candidates at once.
-
-    The batched counterpart of ``CompiledConstraints.assemble_base``: the
-    raw base masks are built per candidate (chains are tiny), then the
-    acyclicity gate + closure of the entire frontier goes through the
-    active backend in one ``gate_batch`` call.  The gate is a pure
-    function of each plane, so results are identical to the sequential
-    path for every backend — the reference backend's ``gate_batch`` *is*
-    the sequential path.
-    """
-    raw = [
-        cc._base_masks(plane, cand.chains, ordering)
-        for cand, ordering in zip(chunk, orderings)
-    ]
-    gated = active_backend().gate_batch([masks for masks, _ in raw], cc.n)
-    return [
-        None if closed is None else (closed, raw[i][1])
-        for i, closed in enumerate(gated)
-    ]
-
-
 def _try_candidate(
     spec,
     budget: SearchBudget,
@@ -544,8 +468,6 @@ def _try_candidate(
 
     Returns the updated ``explored`` count and the ADMIT result, or
     ``None`` when every labeled extra of this candidate is exhausted.
-    Shared verbatim by the sequential (incremental-reuse) and batched
-    drivers so the two cannot drift.
     """
     base, own = prepared
     prop = cc.candidate_propagation(plane, cand.coherence) if propagate else None
@@ -600,7 +522,12 @@ def _search_candidates(
     cc: CompiledConstraints,
     reuse: Any | None = None,
 ) -> CheckResult:
-    """Layers 1–4 composed: the enumeration loop of the spec-driven driver."""
+    """Layers 1–4 composed: the enumeration loop of the spec-driven driver.
+
+    One loop, one candidate at a time: the reuse hook, when installed,
+    may skip a candidate its prefix already decided; every other
+    candidate is gated by ``assemble_base`` and, if it survives, searched.
+    """
     # Propagation edges are attribution-forced, hence sound only when the
     # attribution is the unique one (see constraints.candidate_propagation).
     unique_rf = hp.unique_rf
@@ -628,30 +555,25 @@ def _search_candidates(
                 )
             )
         plane = cc.plane(rf, propagate)
-        if reuse is not None:
-            # Sequential driver: the failure-memory hook interleaves a
-            # per-candidate lookup with the gate, so candidates go one at
-            # a time through the reference primitives (sessions check a
-            # single appended history — there is no frontier to batch).
-            n_cand = 0
-            for cand in iter_mutual_candidates(
-                spec,
-                history,
-                rf,
-                use_reads_from_pruning=budget.use_reads_from_pruning,
-                unambiguous=propagate,
-            ):
-                n_cand += 1
-                if sink is not None:
-                    sink.emit(
-                        CandidateTried(
-                            index=n_cand,
-                            chains=tuple(
-                                tuple(str(op) for op in chain)
-                                for chain in cand.chains
-                            ),
-                        )
+        n_cand = 0
+        for cand in iter_mutual_candidates(
+            spec,
+            history,
+            rf,
+            use_reads_from_pruning=budget.use_reads_from_pruning,
+            unambiguous=propagate,
+        ):
+            n_cand += 1
+            if sink is not None:
+                sink.emit(
+                    CandidateTried(
+                        index=n_cand,
+                        chains=tuple(
+                            tuple(str(op) for op in chain) for chain in cand.chains
+                        ),
                     )
+                )
+            if reuse is not None:
                 mode = reuse.lookup(cand)
                 if mode == "cyclic":
                     # The prefix's cycle only gained edges; skip without
@@ -677,66 +599,20 @@ def _search_candidates(
                             f"{budget.max_serializations} candidate serializations"
                         )
                     continue
-                ordering = cc.ordering_masks(plane, cand.coherence)
-                prepared = cc.assemble_base(plane, cand.chains, ordering)
-                if prepared is None:
+            ordering = cc.ordering_masks(plane, cand.coherence)
+            prepared = cc.assemble_base(plane, cand.chains, ordering)
+            if prepared is None:
+                if reuse is not None:
                     reuse.record(cand, "cyclic")
-                    continue
-                explored, result = _try_candidate(
-                    spec, budget, sink, cc, plane, rf, cand, prepared,
-                    propagate, explored, history,
-                )
-                if result is not None:
-                    return result
-                reuse.record(cand, "stuck")
-        else:
-            # Batched driver: pull candidates in geometrically ramping
-            # chunks and gate each whole frontier chunk through the
-            # active backend in one call.  Pulling candidates ahead of
-            # processing has no observable effect (enumeration emits no
-            # events), the ramp starts at one so an admit-on-first check
-            # does no extra work, and the per-candidate pass below runs
-            # in enumeration order — so events, explored counts, budget
-            # errors and the first witness are byte-identical to the
-            # sequential driver on every backend.
-            cand_iter = iter_mutual_candidates(
-                spec,
-                history,
-                rf,
-                use_reads_from_pruning=budget.use_reads_from_pruning,
-                unambiguous=propagate,
+                continue
+            explored, result = _try_candidate(
+                spec, budget, sink, cc, plane, rf, cand, prepared,
+                propagate, explored, history,
             )
-            n_cand = 0
-            chunk_size = 1
-            while True:
-                chunk = list(islice(cand_iter, chunk_size))
-                if not chunk:
-                    break
-                chunk_size = min(chunk_size * 4, _FRONTIER_RAMP_CAP)
-                orderings = [
-                    cc.ordering_masks(plane, cand.coherence) for cand in chunk
-                ]
-                gated = _gate_chunk(cc, plane, chunk, orderings)
-                for cand, prepared in zip(chunk, gated):
-                    n_cand += 1
-                    if sink is not None:
-                        sink.emit(
-                            CandidateTried(
-                                index=n_cand,
-                                chains=tuple(
-                                    tuple(str(op) for op in chain)
-                                    for chain in cand.chains
-                                ),
-                            )
-                        )
-                    if prepared is None:
-                        continue
-                    explored, result = _try_candidate(
-                        spec, budget, sink, cc, plane, rf, cand, prepared,
-                        propagate, explored, history,
-                    )
-                    if result is not None:
-                        return result
+            if result is not None:
+                return result
+            if reuse is not None:
+                reuse.record(cand, "stuck")
     reason = "no choice of views satisfies the model's requirements"
     if sink is not None:
         sink.emit(
@@ -775,18 +651,9 @@ def _solve_one_view(
             n, masks, op_loc, read_vals, write_vals, n_locs, INITIAL_VALUE, True
         )
     sink.emit(ViewSearch(proc=proc_label, operations=n))
-    order = _dfs_find_traced(
-        n,
-        masks,
-        op_loc,
-        read_vals,
-        write_vals,
-        n_locs,
-        INITIAL_VALUE,
-        True,
-        sink,
-        proc_label,
-        render,
+    order = _dfs_find(
+        n, masks, op_loc, read_vals, write_vals, n_locs, INITIAL_VALUE, True,
+        sink, proc_label, render,
     )
     if order is None:
         sink.emit(ViewStuck(proc=proc_label))
@@ -1002,12 +869,27 @@ def _stuck_view_counterexample(
         members = vp.members
         local = restrict_masks(masks, members)
         v = len(members)
-        stuck = _deepest_stuck_state(
-            v, local, vp.op_loc, vp.read_vals, vp.write_vals, vp.n_locs
-        )
-        if stuck is None:
-            continue
-        depth, placed, values = stuck
+        # The deepest dead end of the failing search: the partial view with
+        # the most operations placed from which no operation can be placed
+        # next — the most informative frontier to show a human.  The first
+        # failed state of greatest depth is one: a placeable operation
+        # would lead to a deeper failed state.  Under a constraint cycle
+        # it is the empty prefix, and the blocked list shows the mutual
+        # blocking.
+        deepest = (0, 0, tuple([INITIAL_VALUE] * vp.n_locs))
+        if masks_acyclic(local, v):
+
+            def failed_state(placed: int, values: tuple[int, ...]) -> None:
+                nonlocal deepest
+                if placed.bit_count() > deepest[0]:
+                    deepest = (placed.bit_count(), placed, values)
+
+            if _dfs_find(
+                v, local, vp.op_loc, vp.read_vals, vp.write_vals, vp.n_locs,
+                INITIAL_VALUE, True, on_fail=failed_state,
+            ) is not None:
+                continue
+        depth, placed, values = deepest
         loc_names = sorted(
             {cc.ops[g].location for g in members}
         )
@@ -1045,59 +927,3 @@ def _stuck_view_counterexample(
         "every candidate serialization leaves some processor without "
         "a legal view",
     )
-
-
-def _deepest_stuck_state(
-    n: int,
-    pred: Sequence[int],
-    op_loc: Sequence[int],
-    read_vals: Sequence[int | None],
-    write_vals: Sequence[int | None],
-    n_locs: int,
-) -> tuple[int, int, tuple[int, ...]] | None:
-    """The deepest dead-end of a failing search, or ``None`` if it succeeds.
-
-    Returns ``(operations placed, placed mask, memory values)`` for the
-    failing partial view with the most operations placed — the most
-    informative frontier to show a human.
-    """
-    if not masks_acyclic(pred, n):
-        # A constraint cycle: report the empty prefix; the blocked list
-        # will show the mutual blocking.
-        return 0, 0, tuple([INITIAL_VALUE] * n_locs)
-    full = (1 << n) - 1
-    failed: set[tuple[int, tuple[int, ...]]] = set()
-    best: list[tuple[int, int, tuple[int, ...]]] = [
-        (0, 0, tuple([INITIAL_VALUE] * n_locs))
-    ]
-
-    def dfs(placed: int, values: tuple[int, ...], depth: int) -> bool:
-        if placed == full:
-            return True
-        key = (placed, values)
-        if key in failed:
-            return False
-        progressed = False
-        for i in range(n):
-            bit = 1 << i
-            if placed & bit or (pred[i] & ~placed):
-                continue
-            li = op_loc[i]
-            rv = read_vals[i]
-            if rv is not None and values[li] != rv:
-                continue
-            wv = write_vals[i]
-            new_values = values
-            if wv is not None and values[li] != wv:
-                new_values = values[:li] + (wv,) + values[li + 1:]
-            progressed = True
-            if dfs(placed | bit, new_values, depth + 1):
-                return True
-        if not progressed and depth > best[0][0]:
-            best[0] = (depth, placed, values)
-        failed.add(key)
-        return False
-
-    if dfs(0, tuple([INITIAL_VALUE] * n_locs), 0):
-        return None
-    return best[0]

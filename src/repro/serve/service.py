@@ -58,7 +58,6 @@ from repro.core.serialization import (
 from repro.engine import CheckEngine, SweepSpec, open_store
 from repro.engine.cache import RelationCache
 from repro.engine.session import EngineSession
-from repro.kernel.backend import active_backend, set_backend
 from repro.kernel.constraints import plane_cache_stats
 from repro.kernel.search import check_with_spec
 from repro.obs.sink import SessionStatsSink, tracing
@@ -104,9 +103,6 @@ class ServeConfig:
     #: Bound on live incremental sessions; creating one past the bound
     #: evicts the least-recently-used session.
     max_sessions: int = 64
-    #: Kernel mask backend for the whole service process (``--backend``);
-    #: ``None`` inherits the process default (``REPRO_BACKEND``).
-    backend: str | None = None
 
 
 def _canonical(payload: Any) -> str:
@@ -249,10 +245,6 @@ class CheckService:
 
     def __init__(self, config: ServeConfig | None = None) -> None:
         self.config = config or ServeConfig()
-        if self.config.backend is not None:
-            # Process-global by design: every check thread, session, and
-            # sweep worker of this daemon runs the same kernel backend.
-            set_backend(self.config.backend)
         self.store = (
             open_store(self.config.store_url)
             if self.config.store_url
@@ -480,7 +472,6 @@ class CheckService:
                     jobs=self.config.sweep_jobs,
                     prepass=self.config.prepass,
                     persistent=True,
-                    backend=self.config.backend,
                 )
             return self._sweep_engine
 
@@ -714,7 +705,6 @@ class CheckService:
         stats = {
             "uptime_seconds": round(time.time() - self.started, 3),
             "workers": self.config.workers,
-            "backend": active_backend().name,
             "plane_cache": plane_cache_stats(),
             "prepass": self.config.prepass,
             "prepass_rules": self._sink.prepass_counters(),

@@ -70,6 +70,23 @@ class TestTSO:
         h_bad = parse_history("p: u(l)0->1 | q: u(l)0->2")
         assert not check_tso(h_bad).allowed
 
+    def test_ppo_derived_once_per_check(self, monkeypatch):
+        # The greedy placement reuses the caller's ->ppo for every
+        # processor of every write order instead of re-closing it.
+        import repro.checking.tso as tso
+
+        calls = []
+        real = tso.ppo_relation
+        monkeypatch.setattr(
+            tso, "ppo_relation", lambda h: calls.append(h) or real(h)
+        )
+        h = parse_history(
+            "p: w(x)1 r(y)0 w(z)1 | q: w(y)1 r(z)0 w(x)2 | r: r(x)2 r(x)1"
+        )
+        res = check_tso(h)
+        assert res.explored > 1  # several write orders were tried
+        assert len(calls) == 1
+
 
 class TestPC:
     def test_fig2_allowed(self, fig2):
@@ -147,6 +164,20 @@ class TestGoodmanPC:
 
     def test_sb_allowed(self, fig1):
         assert check_pc_goodman(fig1).allowed
+
+    def test_keeps_the_kernel_witness(self):
+        # PC-G is CoherentPRAM under another name: the renamed result
+        # carries the kernel's witness, not just its views.
+        from repro.checking import check
+        from repro.kernel.search import check_with_spec
+        from repro.litmus.catalog import CATALOG
+        from repro.spec.registry import COHERENT_PRAM_SPEC
+
+        h = CATALOG["fig1-sb"].history
+        res = check(h, "PC-G")
+        ref = check_with_spec(COHERENT_PRAM_SPEC, h)
+        assert res.model == "PC-G" and res.allowed
+        assert res.witness is not None and res.witness == ref.witness
 
     def test_incomparable_with_dash_pc(self):
         # DASH-PC allows IRIW-with-control shapes that PC-G forbids and

@@ -9,8 +9,8 @@ The arena's contract has three parts:
   close, and garbage collection all retire segments, and a worker dying
   mid-job (even ``SIGKILL``) leaks nothing;
 * the warm engine — a persistent :class:`~repro.engine.CheckEngine`
-  produces byte-identical sweep results to a cold one, across runs and
-  backends, while shipping jobs through the arena.
+  produces byte-identical sweep results to a cold one, across runs,
+  while shipping jobs through the arena.
 """
 
 import json
@@ -271,14 +271,6 @@ def test_cross_spec_sweeps_never_share_stale_segments():
     with CheckEngine(jobs=2, persistent=True) as warm:
         warm.run(first)
         report = warm.run(second)
-    assert _stripped(report.results) == _stripped(cold.results)
-
-
-def test_persistent_engine_numpy_workers_identical():
-    spec = SweepSpec(source="catalog", models=("SC", "TSO", "Causal"))
-    cold = CheckEngine(jobs=2).run(spec)
-    with CheckEngine(jobs=2, persistent=True, backend="numpy") as warm:
-        report = warm.run(spec)
     assert _stripped(report.results) == _stripped(cold.results)
 
 

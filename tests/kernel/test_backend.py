@@ -1,12 +1,13 @@
-"""The mask-backend registry, both backends, and the plane-cache LRU.
+"""The mask gate, the seam that instruments it, and the plane-cache LRU.
 
-Three contracts from the backend PR:
+Three contracts:
 
-* the registry — names resolve, the active backend is process-global
-  with an env default, ``use_backend`` scopes and restores;
-* semantics — the numpy backend's closure/acyclicity/gate answers equal
-  the pure-Python reference's on crafted planes (cycles, self-loops,
-  empty universes, full chains) and at every supported width;
+* semantics — the gate's closure/acyclicity/gate answers equal a
+  brute-force reachability reference on crafted planes (cycles,
+  self-loops, empty universes, full chains) and at every width up to 64;
+* the seam — ``use_backend`` scopes and restores an installed
+  :class:`MaskBackend`, and an instrumenting subclass sees every gate of
+  a check without changing its result;
 * the plane cache — a bounded identity-keyed LRU with observable
   hit/miss/eviction counters, under which interleaved sessions no
   longer evict each other (the regression the single slot had).
@@ -14,93 +15,50 @@ Three contracts from the backend PR:
 
 import pytest
 
+from repro.checking.models import MODELS
 from repro.core.errors import KernelError
-from repro.kernel import backend as backend_mod
+from repro.core.serialization import check_result_to_dict
 from repro.kernel.backend import (
     MaskBackend,
-    RecordingBackend,
+    PythonBackend,
     active_backend,
-    available_backends,
-    get_backend,
-    set_backend,
+    close_masks,
+    masks_acyclic,
     use_backend,
 )
 from repro.kernel.constraints import (
-    close_masks,
     configure_plane_cache,
     history_plane,
     install_plane,
-    masks_acyclic,
     plane_cache_stats,
 )
+from repro.kernel.search import check_with_spec
 from repro.litmus import parse_history
-
-# -- the registry --------------------------------------------------------------
-
-
-def test_builtin_backends_registered():
-    assert "python" in available_backends()
-    assert "numpy" in available_backends()
-    assert get_backend("python").name == "python"
-    assert get_backend("numpy").name == "numpy"
+from repro.litmus.catalog import CATALOG
+from repro.obs.sink import CountingSink, tracing
 
 
-def test_get_backend_unknown_name():
-    with pytest.raises(KernelError, match="unknown"):
-        get_backend("fortran")
+def reference_closure(masks, n):
+    """Transitive closure by a reachability walk from every operation."""
+    out = []
+    for j in range(n):
+        seen, todo = 0, [j]
+        while todo:
+            preds = masks[todo.pop()]
+            for i in range(n):
+                if preds >> i & 1 and not seen >> i & 1:
+                    seen |= 1 << i
+                    todo.append(i)
+        out.append(seen)
+    return out
 
 
-def test_get_backend_returns_singleton():
-    assert get_backend("numpy") is get_backend("numpy")
+def reference_acyclic(masks, n):
+    """Acyclic iff no operation reaches itself."""
+    return not any(row >> j & 1 for j, row in enumerate(reference_closure(masks, n)))
 
 
-def test_set_backend_by_name_and_instance():
-    try:
-        set_backend("numpy")
-        assert active_backend().name == "numpy"
-        inst = get_backend("python")
-        set_backend(inst)
-        assert active_backend() is inst
-    finally:
-        set_backend("python")
-
-
-def test_use_backend_scopes_and_restores():
-    before = active_backend()
-    with use_backend("numpy"):
-        assert active_backend().name == "numpy"
-        with use_backend("python"):
-            assert active_backend().name == "python"
-        assert active_backend().name == "numpy"
-    assert active_backend() is before
-
-
-def test_use_backend_restores_on_error():
-    before = active_backend()
-    with pytest.raises(RuntimeError):
-        with use_backend("numpy"):
-            raise RuntimeError("boom")
-    assert active_backend() is before
-
-
-def test_env_default_resolution(monkeypatch):
-    monkeypatch.setenv(backend_mod.BACKEND_ENV, "numpy")
-    monkeypatch.setattr(backend_mod, "_ACTIVE", None)
-    assert active_backend().name == "numpy"
-    monkeypatch.setenv(backend_mod.BACKEND_ENV, "")
-    monkeypatch.setattr(backend_mod, "_ACTIVE", None)
-    assert active_backend().name == "python"
-
-
-def test_recording_backend_records_gate_calls():
-    rec = RecordingBackend(get_backend("python"))
-    out = rec.gate_batch([[0, 1], [2, 1]], 2)
-    assert rec.gate_calls == [([[0, 1], [2, 1]], 2)]
-    # Row 0: edge 0->1, acyclic; row 1: a 2-cycle, gated out.
-    assert out[0] is not None and out[1] is None
-
-
-# -- semantics: numpy == reference ---------------------------------------------
+# -- semantics: the gate == brute-force reachability ----------------------------
 
 #: Crafted planes: (masks, n) covering the shapes the search produces.
 PLANES = [
@@ -118,55 +76,105 @@ PLANES = [
 
 @pytest.mark.parametrize("masks,n", PLANES)
 def test_close_matches_reference(masks, n):
-    assert get_backend("numpy").close(masks, n) == close_masks(masks)
+    assert active_backend().close(masks, n) == reference_closure(masks, n)
 
 
 @pytest.mark.parametrize("masks,n", PLANES)
 def test_acyclic_matches_reference(masks, n):
-    assert get_backend("numpy").acyclic(masks, n) == masks_acyclic(masks, n)
+    assert active_backend().acyclic(masks, n) == reference_acyclic(masks, n)
 
 
 @pytest.mark.parametrize("masks,n", PLANES)
 def test_gate_matches_reference(masks, n):
-    py = get_backend("python").gate(masks, n)
-    np_ = get_backend("numpy").gate(masks, n)
-    assert py == np_
+    want = reference_closure(masks, n) if reference_acyclic(masks, n) else None
+    assert active_backend().gate(masks, n) == want
 
 
 def test_gate_batch_mixed_verdicts():
     batch = [[0, 1, 2], [2, 4, 1], [0, 0, 0]]
-    out = get_backend("numpy").gate_batch(batch, 3)
-    ref = [get_backend("python").gate(m, 3) for m in batch]
-    assert out == ref
-    assert out[1] is None  # the cycle is gated out
+    out = active_backend().gate_batch(batch, 3)
+    assert out == [[0, 1, 3], None, [0, 0, 0]]  # the cycle is gated out
 
 
 @pytest.mark.parametrize("n", [1, 15, 16, 17, 31, 32, 33, 63, 64])
 def test_widths_chain_plane(n):
-    # A full chain at every dtype boundary: closure is the strict
-    # lower-triangle, acyclicity holds.
-    chain = [(1 << i) - 1 if i else 0 for i in range(n)]
-    nb = get_backend("numpy")
-    assert nb.close(chain, n) == close_masks(chain)
-    assert nb.acyclic(chain, n) is True
-    # And a cycle closing the chain is rejected.
+    # A chain where each operation follows the previous one: closure is
+    # the strict lower triangle, and acyclicity holds.
+    chain = [1 << (i - 1) if i else 0 for i in range(n)]
+    backend = active_backend()
+    assert backend.close(chain, n) == [(1 << i) - 1 for i in range(n)]
+    assert backend.acyclic(chain, n) is True
+    # And an edge closing the chain into a cycle is rejected.
     cyclic = list(chain)
     cyclic[0] |= 1 << (n - 1)
-    assert nb.acyclic(cyclic, n) == masks_acyclic(cyclic, n)
-
-
-def test_width_over_64_rejected():
-    from repro.kernel.backend.matrix import word_dtype
-
-    with pytest.raises(ValueError):
-        word_dtype(65)
+    assert backend.acyclic(cyclic, n) is False
 
 
 def test_empty_batch():
-    nb = get_backend("numpy")
-    assert nb.gate_batch([], 5) == []
-    assert nb.close_batch([], 5) == []
-    assert nb.acyclic_batch([], 5) == []
+    assert active_backend().gate_batch([], 5) == []
+
+
+# -- the seam: installing an instrumenting backend ------------------------------
+
+
+class _CountingBackend(MaskBackend):
+    """Delegates to the default and records every ``gate_batch`` call."""
+
+    def __init__(self) -> None:
+        self.inner = PythonBackend()
+        self.batch_sizes: list[int] = []
+
+    def close(self, masks, n):
+        return self.inner.close(masks, n)
+
+    def acyclic(self, masks, n):
+        return self.inner.acyclic(masks, n)
+
+    def gate_batch(self, batch, n):
+        self.batch_sizes.append(len(batch))
+        return self.inner.gate_batch(batch, n)
+
+
+def test_use_backend_scopes_and_restores():
+    before = active_backend()
+    outer, inner = _CountingBackend(), _CountingBackend()
+    with use_backend(outer) as installed:
+        assert installed is outer and active_backend() is outer
+        with use_backend(inner):
+            assert active_backend() is inner
+        assert active_backend() is outer
+    assert active_backend() is before
+
+
+def test_use_backend_restores_on_error():
+    before = active_backend()
+    with pytest.raises(RuntimeError):
+        with use_backend(_CountingBackend()):
+            raise RuntimeError("boom")
+    assert active_backend() is before
+
+
+@pytest.mark.parametrize("model", ["SC", "TSO", "PC", "RC_sc", "partition-2"])
+def test_installed_backend_sees_one_gate_per_candidate(model):
+    spec = MODELS[model].spec
+    gated = 0
+    for entry in CATALOG.values():
+        want = check_result_to_dict(check_with_spec(spec, entry.history))
+        counting, sink = _CountingBackend(), CountingSink()
+        with use_backend(counting), tracing(sink):
+            got = check_with_spec(spec, entry.history)
+        assert check_result_to_dict(got) == want, entry.name
+        assert counting.batch_sizes == [1] * sink.counts.get("candidate", 0)
+        gated += len(counting.batch_sizes)
+    assert gated >= len(CATALOG)
+
+
+def test_custom_backend_inherits_batch_defaults():
+    batch = [[0, 1, 2], [2, 4, 1]]
+    tiny = _CountingBackend()
+    assert tiny.gate_batch(batch, 3) == [close_masks(batch[0]), None]
+    assert tiny.gate(batch[1], 3) is None
+    assert masks_acyclic(batch[0], 3)
 
 
 # -- the plane-cache LRU -------------------------------------------------------
@@ -254,26 +262,3 @@ def test_plane_cache_thread_safe(small_plane_cache):
         assert all(pool.map(hammer, range(8)))
     stats = plane_cache_stats()
     assert stats["size"] <= stats["capacity"]
-
-
-# -- the protocol's default batch implementations ------------------------------
-
-
-class _TinyBackend(MaskBackend):
-    """A minimal third-party backend: only the two abstract ops."""
-
-    name = "tiny"
-
-    def close(self, masks, n):
-        return close_masks(list(masks))
-
-    def acyclic(self, masks, n):
-        return masks_acyclic(masks, n)
-
-
-def test_custom_backend_inherits_batch_defaults():
-    tiny = _TinyBackend()
-    batch = [[0, 1, 2], [2, 4, 1]]
-    assert tiny.gate_batch(batch, 3) == get_backend("python").gate_batch(batch, 3)
-    assert tiny.close_batch(batch, 3) == [close_masks(m) for m in batch]
-    assert tiny.acyclic_batch(batch, 3) == [masks_acyclic(m, 3) for m in batch]

@@ -58,11 +58,6 @@ def test_explain_lock():
         assert g == w, f"{w['history']} under {w['model']}"
 
 
-def test_explain_lock_covers_both_kinds():
-    kinds = {row["kind"] for row in json.loads(LOCK.read_text(encoding="utf-8"))}
-    assert kinds == {"stuck-view", "cyclic-constraints"}
-
-
 def test_cli_explain_denied(capsys):
     assert main(["explain", "fig1-sb", "SC"]) == 1
     out = capsys.readouterr().out

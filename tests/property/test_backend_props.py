@@ -1,11 +1,13 @@
-"""Property-based backend parity (hypothesis).
+"""Property-based checks of the mask gate (hypothesis).
 
-The backend contract as properties: for *any* mask plane — not just the
-ones the search happens to produce — the numpy backend's transitive
-closure, acyclicity verdict, and fused gate equal the pure-Python
-reference's, at every batch size; and for any random history, the full
-``check_with_spec`` result (verdict, witness views, reason, exploration
-count) is identical under both backends for every spec-backed model.
+The gate's contract as properties: for *any* mask plane — not just the
+ones the search happens to produce — its transitive closure and
+acyclicity verdict equal a brute-force reachability reference, the fused
+gate agrees with its two components, and a batch gates row by row; and
+for any random history, the full ``check_with_spec`` result (verdict,
+witness views, reason, exploration count) is identical under an
+instrumenting backend installed with ``use_backend``, for every
+spec-backed model.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -13,10 +15,19 @@ from hypothesis import strategies as st
 
 from repro.checking.models import MODELS, model_names
 from repro.core.serialization import check_result_to_dict
-from repro.kernel.backend import get_backend, use_backend
-from repro.kernel.constraints import close_masks, masks_acyclic
+from repro.kernel.backend import (
+    active_backend,
+    close_masks,
+    masks_acyclic,
+    use_backend,
+)
 from repro.kernel.search import check_with_spec
 
+from tests.kernel.test_backend import (
+    _CountingBackend,
+    reference_acyclic,
+    reference_closure,
+)
 from tests.property.test_history_strategies import history_strategy
 
 RELAXED = settings(
@@ -54,39 +65,34 @@ def mask_batch(draw, max_rows=6):
 @RELAXED
 def test_closure_parity(plane):
     masks, n = plane
-    assert get_backend("numpy").close(masks, n) == close_masks(masks)
+    assert close_masks(masks) == reference_closure(masks, n)
 
 
 @given(mask_plane())
 @RELAXED
 def test_acyclicity_parity(plane):
     masks, n = plane
-    assert get_backend("numpy").acyclic(masks, n) == masks_acyclic(masks, n)
+    assert masks_acyclic(masks, n) == reference_acyclic(masks, n)
 
 
 @given(mask_plane())
 @RELAXED
 def test_gate_consistency(plane):
-    # The fused gate must agree with its two components on both backends.
+    # The fused gate must agree with its two components.
     masks, n = plane
-    for name in ("python", "numpy"):
-        backend = get_backend(name)
-        gated = backend.gate(masks, n)
-        if masks_acyclic(masks, n):
-            assert gated == close_masks(masks)
-        else:
-            assert gated is None
+    gated = active_backend().gate(masks, n)
+    if masks_acyclic(masks, n):
+        assert gated == close_masks(masks)
+    else:
+        assert gated is None
 
 
 @given(mask_batch())
 @RELAXED
 def test_batch_parity(batch):
     rows, n = batch
-    py = get_backend("python")
-    nb = get_backend("numpy")
-    assert nb.gate_batch(rows, n) == py.gate_batch(rows, n)
-    assert nb.close_batch(rows, n) == py.close_batch(rows, n)
-    assert nb.acyclic_batch(rows, n) == py.acyclic_batch(rows, n)
+    backend = active_backend()
+    assert backend.gate_batch(rows, n) == [backend.gate(m, n) for m in rows]
 
 
 @given(history_strategy(), st.booleans())
@@ -98,11 +104,8 @@ def test_batch_parity(batch):
 def test_check_results_identical_across_backends(history, prepass):
     for name in SPEC_MODELS:
         spec = MODELS[name].spec
-        with use_backend("python"):
-            ref = check_result_to_dict(
-                check_with_spec(spec, history, prepass=prepass)
-            )
-        with use_backend("numpy"):
+        ref = check_result_to_dict(check_with_spec(spec, history, prepass=prepass))
+        with use_backend(_CountingBackend()):
             got = check_result_to_dict(
                 check_with_spec(spec, history, prepass=prepass)
             )

@@ -6,25 +6,20 @@ candidate's ``->rrb`` delta.  The property: for every attribution
 :func:`~repro.kernel.rf.iter_attributions` yields and every coherence
 order :func:`~repro.orders.coherence.enumerate_coherence_orders` yields,
 the masks equal ``sem_relation(h, rf, co).pred_masks(ops)`` exactly, and
-the batched gate (the active backend) treats both identically, under
-either backend.  Histories mix reads, writes and RMWs, repeat write values
+the candidate gate (``assemble_base``) treats both identically.  Histories mix reads, writes and RMWs, repeat write values
 (several attributions), read initial values, and include shapes whose
 ``->sem`` is cyclic.
 """
 
 from math import factorial, prod
 
-import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.checking.models import MODELS
 from repro.core.history import HistoryBuilder
-from repro.kernel.backend import use_backend
 from repro.kernel.constraints import compile_constraints, history_plane
 from repro.kernel.rf import iter_attributions
-from repro.kernel.search import _gate_chunk
-from repro.kernel.serializations import MutualCandidate
 from repro.litmus import parse_history
 from repro.orders.coherence import enumerate_coherence_orders
 from repro.orders.semi_causal import sem_relation
@@ -73,19 +68,16 @@ def assert_compiled_sem_matches(h):
     unique = history_plane(h).unique_rf is not None
     for rf in iter_attributions(h, 4096):
         plane = cc.plane(rf, unique)
-        cands = []
-        got, want = [], []
         for co in enumerate_coherence_orders(h):
-            cands.append(MutualCandidate(co, tuple(co.values())))
-            got.append(cc.ordering_masks(plane, co))
-            want.append(sem_relation(h, rf, co).pred_masks(cc.ops))
-            assert got[-1] == want[-1], f"{co} under {rf}:\n{h}"
-        assert _gate_chunk(cc, plane, cands, got) == _gate_chunk(
-            cc, plane, cands, want
-        )
+            got = cc.ordering_masks(plane, co)
+            want = sem_relation(h, rf, co).pred_masks(cc.ops)
+            assert got == want, f"{co} under {rf}:\n{h}"
+            chains = tuple(co.values())
+            assert cc.assemble_base(plane, chains, got) == cc.assemble_base(
+                plane, chains, want
+            )
 
 
-@pytest.mark.parametrize("backend", ["python", "numpy"])
 @given(h=rmw_history())
 @example(h=parse_history(CYCLIC_SEM))
 @example(h=parse_history(RMW_SELF_LOOP))
@@ -95,10 +87,9 @@ def assert_compiled_sem_matches(h):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
-def test_compiled_sem_equals_sem_relation(backend, h):
+def test_compiled_sem_equals_sem_relation(h):
     assume(candidate_count(h) <= MAX_CANDIDATES)
-    with use_backend(backend):
-        assert_compiled_sem_matches(h)
+    assert_compiled_sem_matches(h)
 
 
 def test_examples_reach_the_interesting_shapes():
