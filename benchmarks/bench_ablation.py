@@ -16,7 +16,8 @@ generic solver on the same histories, quantifying the third design choice.
 """
 
 
-from repro.checking import MODELS, SearchBudget, check_with_spec, find_legal_extension
+from repro.checking import MODELS
+from repro.kernel import SearchBudget, check_with_spec, find_legal_extension
 from repro.litmus import parse_history
 from repro.orders import po_relation
 from repro.spec import TSO_SPEC

@@ -7,7 +7,7 @@ views printed by ``pytest -s`` match the structure of the paper's
 Section 3.3 display.
 """
 
-from repro.checking import check_pc, check_tso
+from repro.checking import check, check_tso
 from repro.litmus import CATALOG
 from repro.viz import render_views
 
@@ -20,7 +20,7 @@ def test_fig2_claims(record_claims, benchmark):
 
     def verify():
         h = FIG2.history
-        pc = check_pc(h)
+        pc = check(h, "PC")
         # The paper's explanation: r returns y=1 then x=0, so r's view
         # orders w(y)1 before w(x)1 while TSO's mutual consistency would
         # force the reverse everywhere.
@@ -41,7 +41,7 @@ def test_fig2_claims(record_claims, benchmark):
 
 def test_bench_pc_checker_on_fig2(benchmark):
     h = FIG2.history
-    result = benchmark(lambda: check_pc(h))
+    result = benchmark(lambda: check(h, "PC"))
     assert result.allowed
 
 

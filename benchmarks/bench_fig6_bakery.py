@@ -15,7 +15,7 @@ the machine's runtime cost per Bakery run.
 import pytest
 
 from repro.analysis import fraction
-from repro.checking import check_rc_pc, check_rc_sc
+from repro.checking import check
 from repro.litmus import parse_history
 from repro.machines import RCMachine
 from repro.programs import DelayDeliveriesScheduler, RandomScheduler, run
@@ -64,15 +64,15 @@ def test_fig6_claims(record_claims, adversarial_violation, benchmark):
         trace = adversarial_violation.history
         rows = [
             ("Section 5 history allowed by RC_pc", True,
-             check_rc_pc(SECTION5_HISTORY).allowed),
+             check(SECTION5_HISTORY, "RC_pc").allowed),
             ("Section 5 history allowed by RC_sc", False,
-             check_rc_sc(SECTION5_HISTORY).allowed),
+             check(SECTION5_HISTORY, "RC_sc").allowed),
             ("RC_sc machine violations (random)", 0, sc_violations),
             ("RC_pc machine violates (random)", True, pc_violations > 0),
             ("RC_pc machine violates (adversarial)", True,
              adversarial_violation.mutex_violation),
-            ("violating trace is RC_pc", True, check_rc_pc(trace).allowed),
-            ("violating trace is RC_sc", False, check_rc_sc(trace).allowed),
+            ("violating trace is RC_pc", True, check(trace, "RC_pc").allowed),
+            ("violating trace is RC_sc", False, check(trace, "RC_sc").allowed),
         ]
         return rows, sc_violations, pc_violations
 
@@ -89,12 +89,12 @@ def test_fig6_claims(record_claims, adversarial_violation, benchmark):
 
 
 def test_bench_rc_pc_checker_on_section5(benchmark):
-    result = benchmark(lambda: check_rc_pc(SECTION5_HISTORY))
+    result = benchmark(lambda: check(SECTION5_HISTORY, "RC_pc"))
     assert result.allowed
 
 
 def test_bench_rc_sc_checker_on_section5(benchmark):
-    result = benchmark(lambda: check_rc_sc(SECTION5_HISTORY))
+    result = benchmark(lambda: check(SECTION5_HISTORY, "RC_sc"))
     assert not result.allowed
 
 

@@ -11,7 +11,8 @@ falls relative to the established models.
 Run:  python examples/design_new_memory.py
 """
 
-from repro.checking import check, check_with_spec
+from repro.checking import check
+from repro.kernel import check_with_spec
 from repro.lattice import (
     HistorySpace,
     canonical_key,

@@ -17,15 +17,7 @@ Quickstart
 (False, True)
 """
 
-from repro.checking import (
-    CheckResult,
-    MODELS,
-    PAPER_MODELS,
-    SearchBudget,
-    check,
-    check_with_spec,
-    classify,
-)
+from repro.checking import MODELS, PAPER_MODELS, check, classify
 from repro.core import (
     HistoryBuilder,
     Operation,
@@ -35,6 +27,7 @@ from repro.core import (
     SystemHistory,
     View,
 )
+from repro.kernel import CheckResult, SearchBudget, check_with_spec
 from repro.litmus import CATALOG, LitmusTest, format_history, parse_history
 from repro.spec import ALL_SPECS, MemoryModelSpec, get_spec
 

@@ -1,65 +1,38 @@
-"""Consistency checkers: decide whether a history is allowed by a model."""
+"""Consistency checkers: decide whether a history is allowed by a model.
 
-from repro.checking.axiomatic_tso import check_axiomatic_tso, is_axiomatic_tso
-from repro.checking.causal import check_causal, is_causal
-from repro.checking.coherence import check_coherence, is_coherent
-from repro.checking.extension import (
-    count_legal_extensions,
-    find_legal_extension,
-    iter_legal_extensions,
-)
+The registry (:mod:`repro.checking.models`) maps every model name to the
+kernel search or to one of the fast paths kept here; the search itself and
+the result types live in :mod:`repro.kernel`.
+"""
+
+from repro.checking.axiomatic_tso import check_axiomatic_tso
 from repro.checking.models import (
     MODELS,
     MemoryModel,
     PAPER_MODELS,
     check,
     classify,
+    get_model,
     model_names,
+    resolve_models,
 )
-from repro.checking.pc import check_pc, check_pc_goodman, is_pc, is_pc_goodman
-from repro.checking.pram import check_pram, is_pram
-from repro.checking.rc import check_rc_pc, check_rc_sc, is_rc_pc, is_rc_sc
-from repro.checking.result import CheckResult, Counterexample, Witness
-from repro.checking.sc import check_sc, is_sequentially_consistent
-from repro.checking.solver import SearchBudget, check_with_spec, explain_with_spec
-from repro.checking.tso import check_tso, is_tso
+from repro.checking.pram import check_pram
+from repro.checking.sc import check_sc
+from repro.checking.tso import check_tso
 from repro.checking.witness import validate_witness
 
 __all__ = [
     "check",
     "check_axiomatic_tso",
-    "check_causal",
-    "check_coherence",
-    "check_pc",
-    "check_pc_goodman",
     "check_pram",
-    "check_rc_pc",
-    "check_rc_sc",
     "check_sc",
     "check_tso",
-    "check_with_spec",
-    "CheckResult",
     "classify",
-    "count_legal_extensions",
-    "Counterexample",
-    "explain_with_spec",
-    "find_legal_extension",
-    "is_axiomatic_tso",
-    "is_causal",
-    "is_coherent",
-    "is_pc",
-    "is_pc_goodman",
-    "is_pram",
-    "is_rc_pc",
-    "is_rc_sc",
-    "is_sequentially_consistent",
-    "is_tso",
-    "iter_legal_extensions",
+    "get_model",
     "MemoryModel",
     "MODELS",
     "model_names",
     "PAPER_MODELS",
-    "SearchBudget",
+    "resolve_models",
     "validate_witness",
-    "Witness",
 ]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator, Sequence
 
-from repro.checking.result import CheckResult
+from repro.kernel.results import CheckResult
 from repro.core.errors import CheckerError
 from repro.core.history import SystemHistory
 from repro.core.operation import INITIAL_VALUE, Operation

@@ -31,14 +31,14 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.checking.result import CheckResult
 from repro.core.errors import CheckerError
 from repro.core.history import SystemHistory
 from repro.core.operation import INITIAL_VALUE, Operation, OpKind
+from repro.kernel.results import CheckResult
 from repro.kernel.serializations import forced_write_order
 from repro.orders.writes_before import unambiguous_reads_from
 
-__all__ = ["check_axiomatic_tso", "is_axiomatic_tso"]
+__all__ = ["check_axiomatic_tso"]
 
 _MODEL = "TSO-axiomatic"
 
@@ -75,11 +75,6 @@ def check_axiomatic_tso(history: SystemHistory) -> CheckResult:
         reason="no store order satisfies the Value axiom for all loads",
         explored=explored,
     )
-
-
-def is_axiomatic_tso(history: SystemHistory) -> bool:
-    """Convenience boolean form of :func:`check_axiomatic_tso`."""
-    return check_axiomatic_tso(history).allowed
 
 
 def _loads_placeable(

@@ -1,51 +1,42 @@
-"""The checker registry: one :class:`MemoryModel` per memory in the paper.
+"""The model registry: one :class:`MemoryModel` per registered memory.
 
-Each model pairs a declarative spec with the preferred decision procedure
-(a fast path where one exists, the generic solver otherwise).  ``check``
-and ``classify`` are the top-level entry points most client code uses.
+:data:`repro.spec.registry.ALL_SPECS` is the list of models: every spec
+is a model of the same name, decided by the kernel's
+:func:`~repro.kernel.search.check_with_spec`.  Two pieces sit on top of
+it: :data:`_FAST_PATHS`, the hand-written strategies measured to beat the
+kernel on the same histories (EXPERIMENTS.md E20), and the one spec-less
+model, the axiomatic TSO reference.  :func:`get_model` and
+:func:`resolve_models` are the one lookup every surface (CLI, service,
+engine, fuzzer) goes through; ``check`` and ``classify`` are the
+top-level entry points most client code uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.checking.axiomatic_tso import check_axiomatic_tso
-from repro.checking.causal import check_causal
-from repro.checking.coherence import check_coherence
-from repro.checking.pc import check_pc, check_pc_goodman
 from repro.checking.pram import check_pram
-from repro.checking.rc import check_rc_pc, check_rc_sc
-from repro.checking.result import CheckResult
 from repro.checking.sc import check_sc
-from repro.checking.solver import SearchBudget, check_with_spec
 from repro.checking.tso import check_tso
 from repro.core.errors import CheckerError
 from repro.core.history import SystemHistory
+from repro.kernel.results import CheckResult
+from repro.kernel.search import SearchBudget, check_with_spec
 from repro.spec.model_spec import MemoryModelSpec
-from repro.spec.registry import (
-    CAUSAL_SPEC,
-    HYBRID_SPEC,
-    COHERENCE_SPEC,
-    COHERENT_CAUSAL_SPEC,
-    COHERENT_PRAM_SPEC,
-    MR_SPEC,
-    MW_SPEC,
-    PARTITION2_SPEC,
-    PARTITION3_SPEC,
-    PC_SPEC,
-    PRAM_SPEC,
-    RC_PC_SPEC,
-    RC_SC_SPEC,
-    RYW_SPEC,
-    SC_SPEC,
-    SESSION_CAUSAL_SPEC,
-    SLOW_SPEC,
-    TSO_SPEC,
-    WFR_SPEC,
-)
+from repro.spec.registry import ALL_SPECS, spec_names, suggest_names
 
-__all__ = ["MemoryModel", "MODELS", "PAPER_MODELS", "check", "classify", "model_names"]
+__all__ = [
+    "MemoryModel",
+    "MODELS",
+    "PAPER_MODELS",
+    "check",
+    "classify",
+    "get_model",
+    "model_names",
+    "resolve_models",
+]
 
 
 @dataclass(frozen=True)
@@ -55,30 +46,33 @@ class MemoryModel:
     Attributes
     ----------
     name:
-        Canonical model name (matches the spec's name where one exists).
+        Canonical model name (the spec's name where one exists).
     spec:
         The declarative three-parameter description, or ``None`` for the
         axiomatic TSO reference model which lives outside the framework.
-    checker:
-        The preferred decision procedure.
+    fast:
+        A hand-written decision procedure preferred over the kernel, or
+        ``None`` to decide with ``check_with_spec(spec, history)``.
     """
 
     name: str
     spec: MemoryModelSpec | None
-    checker: Callable[[SystemHistory], CheckResult]
+    fast: Callable[[SystemHistory], CheckResult] | None = None
 
     def check(self, history: SystemHistory) -> CheckResult:
         """Decide whether ``history`` is allowed by this model."""
-        return self.checker(history)
+        if self.fast is not None:
+            return self.fast(history)
+        return self.check_generic(history)
 
     def allows(self, history: SystemHistory) -> bool:
         """Boolean form of :meth:`check`."""
-        return self.checker(history).allowed
+        return self.check(history).allowed
 
     def check_generic(
         self, history: SystemHistory, budget: SearchBudget | None = None
     ) -> CheckResult:
-        """Decide via the generic spec-driven solver (for cross-validation).
+        """Decide via the generic spec-driven kernel (for cross-validation).
 
         Raises
         ------
@@ -90,63 +84,29 @@ class MemoryModel:
         return check_with_spec(self.spec, history, budget)
 
 
-def _wrap(fn: Callable[[SystemHistory], CheckResult]) -> Callable[[SystemHistory], CheckResult]:
-    return fn
-
-
-MODELS: dict[str, MemoryModel] = {
-    m.name: m
-    for m in (
-        MemoryModel("SC", SC_SPEC, _wrap(check_sc)),
-        MemoryModel("TSO", TSO_SPEC, _wrap(check_tso)),
-        MemoryModel("PC", PC_SPEC, _wrap(check_pc)),
-        MemoryModel("PRAM", PRAM_SPEC, _wrap(check_pram)),
-        MemoryModel("Causal", CAUSAL_SPEC, _wrap(check_causal)),
-        MemoryModel("Coherence", COHERENCE_SPEC, _wrap(check_coherence)),
-        MemoryModel("RC_sc", RC_SC_SPEC, _wrap(check_rc_sc)),
-        MemoryModel("RC_pc", RC_PC_SPEC, _wrap(check_rc_pc)),
-        MemoryModel("PC-G", COHERENT_PRAM_SPEC, _wrap(check_pc_goodman)),
-        MemoryModel(
-            "CoherentCausal",
-            COHERENT_CAUSAL_SPEC,
-            lambda h: check_with_spec(COHERENT_CAUSAL_SPEC, h),
-        ),
-        MemoryModel(
-            "Hybrid",
-            HYBRID_SPEC,
-            lambda h: check_with_spec(HYBRID_SPEC, h),
-        ),
-        MemoryModel(
-            "Slow",
-            SLOW_SPEC,
-            lambda h: check_with_spec(SLOW_SPEC, h),
-        ),
-        MemoryModel("TSO-axiomatic", None, _wrap(check_axiomatic_tso)),
-    )
+#: The fast paths that still beat the kernel end to end (E20): SC is one
+#: linear extension of program order, TSO places reads greedily per shared
+#: write order, PRAM merges per-processor streams.  Every other spec model
+#: is decided by the kernel alone.
+_FAST_PATHS: dict[str, Callable[[SystemHistory], CheckResult]] = {
+    "SC": check_sc,
+    "TSO": check_tso,
+    "PRAM": check_pram,
 }
 
-# The session-guarantee and Partition Consistency families have no fast
-# paths; the spec-driven kernel is their decision procedure.
-MODELS.update(
-    {
-        spec.name: MemoryModel(
-            spec.name,
-            spec,
-            # Bind per iteration: a bare lambda would close over the loop
-            # variable and every entry would check the last spec.
-            (lambda s: lambda h: check_with_spec(s, h))(spec),
-        )
-        for spec in (
-            RYW_SPEC,
-            MR_SPEC,
-            MW_SPEC,
-            WFR_SPEC,
-            SESSION_CAUSAL_SPEC,
-            PARTITION2_SPEC,
-            PARTITION3_SPEC,
-        )
-    }
-)
+
+def _registry() -> dict[str, MemoryModel]:
+    models = [MemoryModel(s.name, s, _FAST_PATHS.get(s.name)) for s in ALL_SPECS]
+    # The axiomatic TSO reference keeps its place between the paper's
+    # memories and the session/partition families.
+    models.insert(
+        spec_names().index("read-your-writes"),
+        MemoryModel("TSO-axiomatic", None, check_axiomatic_tso),
+    )
+    return {m.name: m for m in models}
+
+
+MODELS: dict[str, MemoryModel] = _registry()
 
 #: The memories Figure 5 relates (the paper's core comparison set).
 PAPER_MODELS: tuple[str, ...] = ("SC", "TSO", "PC", "Causal", "PRAM")
@@ -157,6 +117,69 @@ def model_names() -> tuple[str, ...]:
     return tuple(MODELS)
 
 
+def get_model(name: str, *, spec_only: bool = False) -> MemoryModel:
+    """The registered model called ``name`` (exact match).
+
+    Raises
+    ------
+    CheckerError
+        If no model has that name — the message names near misses
+        (``'ryw'`` suggests ``read-your-writes``) plus the full registry —
+        or, with ``spec_only``, if the model has no framework spec.
+    """
+    try:
+        model = MODELS[name]
+    except KeyError:
+        suggestions = suggest_names(name)
+        hint = f" did you mean {' or '.join(suggestions)}?" if suggestions else ""
+        raise CheckerError(
+            f"unknown model {name!r};{hint} known: {', '.join(MODELS)}"
+        ) from None
+    if spec_only and model.spec is None:
+        raise CheckerError(
+            f"spec-less model {name!r}: only spec-backed models apply here"
+        )
+    return model
+
+
+def resolve_models(
+    selector: str | Sequence[str] | None, *, spec_only: bool = False
+) -> tuple[str, ...]:
+    """A concrete model tuple from an alias, a comma list or a sequence.
+
+    ``None`` and ``"paper"`` mean :data:`PAPER_MODELS`, ``"spec"`` every
+    spec-backed model and ``"all"`` every registered model; any other
+    string is a comma-separated list of names, each resolved by
+    :func:`get_model`.  With ``spec_only`` the result must be spec-backed:
+    ``"all"`` means ``"spec"`` and a spec-less name is an error.
+
+    Raises
+    ------
+    CheckerError
+        On an unknown or (with ``spec_only``) spec-less name, an empty
+        selection, or a selector that is neither a string nor a sequence
+        of strings.
+    """
+    if selector is None or selector == "paper":
+        return PAPER_MODELS
+    if selector == "spec" or (selector == "all" and spec_only):
+        return spec_names()
+    if selector == "all":
+        return model_names()
+    if isinstance(selector, str):
+        selector = selector.split(",")
+    elif not isinstance(selector, (list, tuple)) or not all(
+        isinstance(name, str) for name in selector
+    ):
+        raise CheckerError(f"bad model set: {selector!r}")
+    names = tuple(name.strip() for name in selector if name.strip())
+    if not names:
+        raise CheckerError("empty model set: name at least one model")
+    for name in names:
+        get_model(name, spec_only=spec_only)
+    return names
+
+
 def check(history: SystemHistory, model: str) -> CheckResult:
     """Decide whether ``history`` is allowed by the named model.
 
@@ -165,11 +188,7 @@ def check(history: SystemHistory, model: str) -> CheckResult:
     CheckerError
         If the model name is unknown.
     """
-    try:
-        return MODELS[model].check(history)
-    except KeyError:
-        known = ", ".join(MODELS)
-        raise CheckerError(f"unknown model {model!r}; known: {known}") from None
+    return get_model(model).check(history)
 
 
 def classify(

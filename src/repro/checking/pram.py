@@ -17,12 +17,12 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.checking.result import CheckResult
 from repro.core.history import SystemHistory
 from repro.core.operation import INITIAL_VALUE, Operation
 from repro.core.view import View
+from repro.kernel.results import CheckResult
 
-__all__ = ["check_pram", "is_pram"]
+__all__ = ["check_pram"]
 
 
 def check_pram(history: SystemHistory) -> CheckResult:
@@ -44,11 +44,6 @@ def check_pram(history: SystemHistory) -> CheckResult:
             )
         views[proc] = View(proc, merged, history, validate=False)
     return CheckResult("PRAM", True, views=views, explored=1)
-
-
-def is_pram(history: SystemHistory) -> bool:
-    """Convenience boolean form of :func:`check_pram`."""
-    return check_pram(history).allowed
 
 
 def _legal_merge(

@@ -13,13 +13,13 @@ the generic solver in the test suite.
 
 from __future__ import annotations
 
-from repro.checking.extension import find_legal_extension
-from repro.checking.result import CheckResult
 from repro.core.history import SystemHistory
 from repro.core.view import View
+from repro.kernel.results import CheckResult
+from repro.kernel.search import find_legal_extension
 from repro.orders.program_order import po_relation
 
-__all__ = ["check_sc", "is_sequentially_consistent"]
+__all__ = ["check_sc"]
 
 
 def check_sc(history: SystemHistory) -> CheckResult:
@@ -35,8 +35,3 @@ def check_sc(history: SystemHistory) -> CheckResult:
         proc: View(proc, order, history, validate=False) for proc in history.procs
     }
     return CheckResult("SC", True, views=views, explored=1)
-
-
-def is_sequentially_consistent(history: SystemHistory) -> bool:
-    """Convenience boolean form of :func:`check_sc`."""
-    return check_sc(history).allowed

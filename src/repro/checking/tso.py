@@ -27,18 +27,18 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.checking.result import CheckResult
-from repro.checking.solver import SearchBudget, check_with_spec
 from repro.core.history import SystemHistory
 from repro.core.operation import INITIAL_VALUE, Operation, OpKind
 from repro.core.view import View
+from repro.kernel.results import CheckResult
+from repro.kernel.search import SearchBudget, check_with_spec
 from repro.kernel.serializations import forced_write_order
 from repro.orders.program_order import ppo_relation
 from repro.orders.relation import Relation
 from repro.orders.writes_before import unambiguous_reads_from
 from repro.spec.registry import TSO_SPEC
 
-__all__ = ["check_tso", "is_tso"]
+__all__ = ["check_tso"]
 
 
 def check_tso(history: SystemHistory, budget: SearchBudget | None = None) -> CheckResult:
@@ -67,11 +67,6 @@ def check_tso(history: SystemHistory, budget: SearchBudget | None = None) -> Che
         reason="no shared write order admits legal per-processor views",
         explored=explored,
     )
-
-
-def is_tso(history: SystemHistory) -> bool:
-    """Convenience boolean form of :func:`check_tso`."""
-    return check_tso(history).allowed
 
 
 def _views_for_write_order(

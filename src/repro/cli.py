@@ -38,7 +38,14 @@ import sys
 from typing import Sequence
 
 from repro import __version__
-from repro.checking import MODELS, PAPER_MODELS, check, model_names
+from repro.checking import (
+    MODELS,
+    PAPER_MODELS,
+    check,
+    get_model,
+    model_names,
+    resolve_models,
+)
 from repro.core.errors import ReproError
 from repro.lattice import (
     FIGURE5_EDGES,
@@ -53,6 +60,7 @@ from repro.litmus import CATALOG, parse_history
 from repro.machines import PRAMMachine, RCMachine, SCMachine, TSOMachine
 from repro.programs import DelayDeliveriesScheduler, RandomScheduler, run
 from repro.programs.mutex import bakery_program
+from repro.spec import MemoryModelSpec
 from repro.viz import lattice_to_dot, render_history, render_lattice, render_views
 
 __all__ = ["main", "build_parser"]
@@ -458,6 +466,13 @@ def _resolve_history(text: str):
     return parse_history(text), None
 
 
+def _spec_of(name: str) -> MemoryModelSpec:
+    """The spec of a spec-backed model (explain, trace, lint, profile)."""
+    spec = get_model(name, spec_only=True).spec
+    assert spec is not None
+    return spec
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     if args.stream:
         return _cmd_check_stream(args)
@@ -562,22 +577,12 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    from repro.checking import explain_with_spec
+    from repro.kernel import explain_with_spec
 
     history, _ = _resolve_history(args.history)
-    model = MODELS.get(args.model)
-    if model is None:
-        print(f"unknown model {args.model!r}", file=sys.stderr)
-        return 2
-    if model.spec is None:
-        print(
-            f"{args.model} is an axiomatic reference model without a "
-            "parameter spec; explain needs a spec-backed model",
-            file=sys.stderr,
-        )
-        return 2
+    spec = _spec_of(args.model)
     print(render_history(history, title="history:"))
-    result = explain_with_spec(model.spec, history)
+    result = explain_with_spec(spec, history)
     if result.allowed:
         print(f"\n{args.model}: allowed "
               f"(after {result.explored} candidate serialization(s))")
@@ -632,15 +637,8 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
     if selector == "paper":
         models: tuple[str, ...] = PAPER_MODELS
         edges = FIGURE5_EDGES
-    elif selector == "all":
-        models = model_names()
-        edges = extended_edges(models)
     else:
-        models = tuple(name.strip() for name in selector.split(","))
-        unknown = [name for name in models if name not in MODELS]
-        if unknown:
-            print(f"unknown model(s): {', '.join(unknown)}", file=sys.stderr)
-            return 2
+        models = resolve_models(selector)
         edges = extended_edges(models)
     from repro.engine import CheckEngine
 
@@ -690,16 +688,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    from repro.checking.models import PAPER_MODELS
     from repro.diff import DiscrepancyCorpus, FuzzConfig, run_fuzz
     from repro.engine import CheckEngine
 
-    if args.models == "paper":
-        models = PAPER_MODELS
-    elif args.models == "all":
-        models = tuple(n for n in model_names() if MODELS[n].spec is not None)
-    else:
-        models = tuple(args.models.split(","))
+    # The fuzz panel's "all" is every spec-backed model.
+    models = resolve_models("spec" if args.models == "all" else args.models)
     if args.resume and not args.corpus:
         print("error: --resume needs --corpus", file=sys.stderr)
         return 2
@@ -774,24 +767,11 @@ def _lint_history(args: argparse.Namespace) -> int:
     from repro.staticcheck import prepass_check
 
     history, _ = _resolve_history(args.history)
-    if args.model == "all":
-        names = [n for n in model_names() if MODELS[n].spec is not None]
-    else:
-        model = MODELS.get(args.model)
-        if model is None or model.spec is None:
-            print(
-                f"unknown or spec-less model {args.model!r} "
-                "(the pre-pass needs a spec-backed model)",
-                file=sys.stderr,
-            )
-            return 2
-        names = [args.model]
+    names = resolve_models(args.model, spec_only=True)
     rows = []
     denied = 0
     for name in names:
-        spec = MODELS[name].spec
-        assert spec is not None
-        verdict = prepass_check(spec, history)
+        verdict = prepass_check(_spec_of(name), history)
         if verdict.decided and verdict.allowed:
             status, reason = "admit", "witness constructed"
         elif verdict.decided:
@@ -827,7 +807,6 @@ def _lint_spec(args: argparse.Namespace) -> int:
     """Lint specs; exit 1 when any error-level finding is reported."""
     import json
 
-    from repro.spec import ALL_SPECS
     from repro.staticcheck import broken_fixture_specs, lint_registry, lint_spec
 
     if args.broken_fixtures:
@@ -835,12 +814,7 @@ def _lint_spec(args: argparse.Namespace) -> int:
             spec.name: lint_spec(spec) for spec in broken_fixture_specs()
         }
     elif args.name:
-        by_name = {spec.name: spec for spec in ALL_SPECS}
-        spec = by_name.get(args.name)
-        if spec is None:
-            print(f"unknown spec {args.name!r}", file=sys.stderr)
-            return 2
-        reports = {spec.name: lint_spec(spec)}
+        reports = {args.name: lint_spec(_spec_of(args.name))}
     else:
         reports = lint_registry()
     errors = sum(
@@ -974,18 +948,11 @@ def _lint_program(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.checking import check_with_spec
+    from repro.kernel import check_with_spec
     from repro.obs import RecordingSink, render_trace
 
     history, label = _resolve_history(args.history)
-    model = MODELS.get(args.model)
-    if model is None or model.spec is None:
-        print(
-            f"unknown or spec-less model {args.model!r} "
-            "(trace needs a spec-backed model; see `models`)",
-            file=sys.stderr,
-        )
-        return 2
+    spec = _spec_of(args.model)
     title = f"history ({label}):" if label else "history:"
     if args.markdown:
         print("```text")
@@ -994,9 +961,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print("```")
     print()
     sink = RecordingSink()
-    result = check_with_spec(
-        model.spec, history, prepass=not args.no_prepass, trace=sink
-    )
+    result = check_with_spec(spec, history, prepass=not args.no_prepass, trace=sink)
     print(
         render_trace(sink.events, markdown=args.markdown, max_steps=args.max_steps)
     )
@@ -1013,20 +978,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.obs import ProfileAggregate, profile_check
 
-    if args.models == "all":
-        names = [n for n in model_names() if MODELS[n].spec is not None]
-    else:
-        names = []
-        for name in args.models.split(","):
-            model = MODELS.get(name)
-            if model is None or model.spec is None:
-                print(
-                    f"unknown or spec-less model {name!r} "
-                    "(profile needs spec-backed models)",
-                    file=sys.stderr,
-                )
-                return 2
-            names.append(name)
+    names = resolve_models(args.models, spec_only=True)
     if args.repeat < 1:
         print("error: --repeat must be >= 1", file=sys.stderr)
         return 2
@@ -1034,8 +986,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     checks = 0
     for entry in CATALOG.values():
         for name in names:
-            spec = MODELS[name].spec
-            assert spec is not None
+            spec = _spec_of(name)
             for _ in range(args.repeat):
                 _, profile = profile_check(
                     spec, entry.history, prepass=not args.no_prepass
@@ -1100,11 +1051,16 @@ def _cmd_store(args: argparse.Namespace) -> int:
 
 
 def _cmd_models(args: argparse.Namespace) -> int:
-    for name in model_names():
-        spec = MODELS[name].spec
+    import re
+
+    width = max(map(len, MODELS))
+    for name, model in MODELS.items():
+        spec = model.spec
         desc = spec.description if spec else "axiomatic reference model (no spec)"
-        first_sentence = desc.split(". ")[0].strip()
-        print(f"{name:16s} {first_sentence}")
+        # A sentence ends at a period before a capital or a parenthesis,
+        # so "et al. 1991" and "Section 3.2" stay inside it.
+        first_sentence = re.split(r"(?<=\.)\s+(?=[A-Z(])", desc)[0]
+        print(f"{name:{width}s} {first_sentence}")
     return 0
 
 

@@ -22,8 +22,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.checking.models import MODELS, PAPER_MODELS
-from repro.core.errors import DiffError
+from repro.checking.models import MODELS, PAPER_MODELS, resolve_models
+from repro.core.errors import CheckerError, DiffError
 from repro.core.history import SystemHistory
 from repro.diff.corpus import DiscrepancyCorpus, stratum_key
 from repro.diff.oracles import (
@@ -93,13 +93,10 @@ class FuzzConfig:
     def __post_init__(self) -> None:
         if self.count < 1:
             raise DiffError(f"count must be >= 1, got {self.count}")
-        if not self.models:
-            raise DiffError("a fuzz campaign needs at least one model")
-        unknown = [m for m in self.models if m not in MODELS]
-        if unknown:
-            raise DiffError(
-                f"unknown model(s) {', '.join(unknown)}; known: {', '.join(MODELS)}"
-            )
+        try:
+            resolve_models(self.models)
+        except CheckerError as exc:
+            raise DiffError(str(exc)) from exc
         # Fail fast on unknown presets of either kind.
         self.resolved_shapes()
         self.resolved_program_shapes()

@@ -40,8 +40,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.checking._legacy_solver import legacy_check_with_spec
-from repro.checking.models import MODELS
-from repro.core.errors import DiffError
+from repro.checking.models import get_model
+from repro.core.errors import CheckerError, DiffError
 from repro.core.history import SystemHistory
 from repro.kernel import check_with_spec
 from repro.lattice.classify import extended_edges
@@ -110,7 +110,8 @@ def panel_verdicts(
     dictionary, so the engine
     can ship panels across its process boundary.  Models without a
     framework spec (the axiomatic TSO reference) only carry the ``fast``
-    verdict: the other oracles are spec-driven.
+    verdict: the other oracles are spec-driven.  Models without a fast
+    path report the kernel verdict as ``fast``.
     ``incremental_prefix_ok`` is the streaming oracle's extra claim: every
     intermediate prefix's incremental verdict matched a fresh check of
     that prefix (see :func:`_incremental_replay`).  ``prepass_deny`` and
@@ -119,24 +120,29 @@ def panel_verdicts(
     """
     out: dict[str, dict[str, bool]] = {}
     for name in models:
-        model = MODELS.get(name)
-        if model is None:
-            raise DiffError(
-                f"unknown model {name!r}; known: {', '.join(MODELS)}"
-            )
-        verdicts: dict[str, bool] = {"fast": model.check(history).allowed}
-        if model.spec is not None:
-            verdicts["kernel"] = check_with_spec(model.spec, history).allowed
-            verdicts["legacy"] = legacy_check_with_spec(
-                model.spec, history
-            ).allowed
-            final, prefix_ok = _incremental_replay(model.spec, history)
-            verdicts["incremental"] = final
-            verdicts["incremental_prefix_ok"] = prefix_ok
-            pre = prepass_check(model.spec, history)
-            verdicts["prepass_deny"] = pre.decided and not pre.allowed
-            verdicts["prepass_admit"] = pre.decided and pre.allowed
-        out[name] = verdicts
+        try:
+            model = get_model(name)
+        except CheckerError as exc:
+            raise DiffError(str(exc)) from exc
+        spec = model.spec
+        if spec is None:
+            out[name] = {"fast": model.check(history).allowed}
+            continue
+        kernel = check_with_spec(spec, history).allowed
+        # Without a fast path the model is decided by the kernel: reuse
+        # its verdict rather than running the identical search twice.
+        fast = kernel if model.fast is None else model.check(history).allowed
+        final, prefix_ok = _incremental_replay(spec, history)
+        pre = prepass_check(spec, history)
+        out[name] = {
+            "fast": fast,
+            "kernel": kernel,
+            "legacy": legacy_check_with_spec(spec, history).allowed,
+            "incremental": final,
+            "incremental_prefix_ok": prefix_ok,
+            "prepass_deny": pre.decided and not pre.allowed,
+            "prepass_admit": pre.decided and pre.allowed,
+        }
     return out
 
 

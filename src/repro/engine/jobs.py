@@ -29,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.checking.models import model_names
-from repro.core.errors import EngineError
+from repro.checking.models import resolve_models
+from repro.core.errors import CheckerError, EngineError
 from repro.core.history import SystemHistory
 
 __all__ = ["CheckJob", "SweepSpec", "SOURCES"]
@@ -83,8 +83,6 @@ class SweepSpec:
             raise EngineError(
                 f"unknown history source {self.source!r}; known: {', '.join(SOURCES)}"
             )
-        if not self.models:
-            raise EngineError("a sweep needs at least one model")
         if self.procs < 1 or self.ops_per_proc < 1:
             raise EngineError(
                 f"degenerate history shape: procs={self.procs}, "
@@ -103,16 +101,11 @@ class SweepSpec:
 
     def resolved_models(self) -> tuple[str, ...]:
         """The concrete model set (``("all",)`` expands to the registry)."""
-        if self.models == ("all",):
-            return model_names()
-        known = set(model_names())
-        unknown = [m for m in self.models if m not in known]
-        if unknown:
-            raise EngineError(
-                f"unknown model(s) {', '.join(unknown)}; "
-                f"known: {', '.join(model_names())}"
-            )
-        return self.models
+        selector = "all" if self.models == ("all",) else self.models
+        try:
+            return resolve_models(selector)
+        except CheckerError as exc:
+            raise EngineError(str(exc)) from exc
 
     def describe(self) -> dict:
         """A JSON-compatible description (recorded in the store's run header)."""

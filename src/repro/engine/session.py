@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import re
 
-from repro.checking.models import MODELS, PAPER_MODELS
-from repro.core.errors import EngineError
+from repro.checking.models import MODELS, resolve_models
+from repro.core.errors import CheckerError, EngineError
 from repro.core.history import SystemHistory
 from repro.core.operation import Operation
 from repro.kernel.incremental import HistoryStream, IncrementalCheck
@@ -99,20 +99,10 @@ class EngineSession:
         budget: SearchBudget | None = None,
         prepass: bool = False,
     ) -> None:
-        names = tuple(models) if models is not None else PAPER_MODELS
-        if not names:
-            raise EngineError("a session needs at least one model")
-        for name in names:
-            model = MODELS.get(name)
-            if model is None:
-                raise EngineError(
-                    f"unknown model {name!r}; known: {', '.join(MODELS)}"
-                )
-            if model.spec is None:
-                raise EngineError(
-                    f"{name} has no framework spec; incremental sessions "
-                    "need spec-backed models"
-                )
+        try:
+            names = resolve_models(models, spec_only=True)
+        except CheckerError as exc:
+            raise EngineError(str(exc)) from exc
         self.models = names
         self.prepass = prepass
         self.stream = HistoryStream(history)

@@ -13,7 +13,7 @@ immediate predecessor-mask failures.
 
 The module exposes two surfaces:
 
-* the compatibility API of the old ``repro.checking.extension`` module —
+* the legal-extension API —
   :func:`find_legal_extension`, :func:`iter_legal_extensions`,
   :func:`count_legal_extensions` — with identical semantics (including the
   64-operation limit and determinism guarantees), and
@@ -175,7 +175,7 @@ def _dfs_find(
     return None
 
 
-# -- compatibility API (the old repro.checking.extension surface) -------------
+# -- legal-extension API ------------------------------------------------------
 
 
 def _prepare(

@@ -16,7 +16,7 @@ A software stand-in for the DASH cache hierarchy that motivated PC:
 FIFO channels give the "previous accesses performed first" half of the
 paper's two PC conditions; the per-location serial numbers give coherence.
 The property suite checks every reachable trace of small programs against
-:func:`repro.checking.check_pc`.
+``check(h, "PC")`` (:func:`repro.checking.check`).
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 One memory, one port: every operation executes instantly and atomically in
 issue order.  Every trace of this machine is sequentially consistent (the
 issue order itself is the common legal view), which the property tests
-verify against :func:`repro.checking.check_sc`.
+verify against ``check(h, "SC")`` (:func:`repro.checking.check`).
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ bounded by :attr:`ServeConfig.max_sessions`; the per-session counters in
 trace events by a :class:`~repro.obs.sink.SessionStatsSink`.
 
 Verdict fidelity is the contract: a fresh check of a spec-backed model
-runs :func:`repro.checking.check_with_spec` and serializes the result
+runs :func:`repro.kernel.check_with_spec` and serializes the result
 with :func:`repro.core.serialization.check_result_to_dict`, so the HTTP
 response carries the *same* verdict + witness JSON the in-process API
 returns (the integration suite asserts this for every catalog × model
@@ -47,8 +47,9 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.checking.models import MODELS, PAPER_MODELS, model_names
-from repro.core.errors import EngineError, ReproError
+from repro.checking.models import MODELS
+from repro.checking.models import resolve_models as _resolve_models
+from repro.core.errors import CheckerError, EngineError, ReproError
 from repro.core.history import SystemHistory
 from repro.core.serialization import (
     check_result_to_dict,
@@ -168,31 +169,13 @@ def resolve_models(value: Any) -> tuple[str, ...]:
 
     ``None`` and ``"paper"`` mean the Figure 5 set, ``"all"`` every
     registered model, ``"spec"`` every spec-backed model; otherwise a
-    list (or comma string) of registered names.
+    list (or comma string) of registered names
+    (:func:`repro.checking.models.resolve_models`).
     """
-    if value is None or value == "paper":
-        return PAPER_MODELS
-    if value == "all":
-        return model_names()
-    if value == "spec":
-        return tuple(n for n in model_names() if MODELS[n].spec is not None)
-    if isinstance(value, str):
-        names: tuple[str, ...] = tuple(m for m in value.split(",") if m)
-    elif isinstance(value, (list, tuple)) and all(
-        isinstance(m, str) for m in value
-    ):
-        names = tuple(value)
-    else:
-        raise ServeError(f"bad model set: {value!r}")
-    if not names:
-        raise ServeError("empty model set")
-    unknown = [m for m in names if m not in MODELS]
-    if unknown:
-        raise ServeError(
-            f"unknown model(s) {', '.join(unknown)}; known: "
-            f"{', '.join(model_names())}"
-        )
-    return names
+    try:
+        return _resolve_models(value)
+    except CheckerError as exc:
+        raise ServeError(str(exc)) from exc
 
 
 @dataclass
@@ -524,11 +507,6 @@ class CheckService:
 
     def _open_session(self, params: dict) -> dict:
         models = resolve_models(params.get("models"))
-        non_spec = [m for m in models if MODELS[m].spec is None]
-        if non_spec:
-            raise ServeError(
-                f"sessions need spec-backed models; not: {', '.join(non_spec)}"
-            )
         history = None
         if params.get("history") is not None:
             history = resolve_history(params["history"])

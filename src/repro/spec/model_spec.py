@@ -1,10 +1,9 @@
 """Memory-model specifications: a named bundle of the three parameters.
 
 A :class:`MemoryModelSpec` is the declarative description of a memory in
-the paper's framework.  It does not itself decide anything; the generic
-solver (:mod:`repro.checking.solver`) interprets it, and the per-model fast
-checkers in :mod:`repro.checking` are verified against it in the test
-suite.
+the paper's framework.  It does not itself decide anything; the kernel
+search (:mod:`repro.kernel.search`) interprets it, and the fast paths in
+:mod:`repro.checking` are verified against it in the test suite.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ A memory model in the framework is a choice of
 3. **Ordering** (:class:`OrderingRule`) — which order derived from the
    history every view must respect.
 
-These are deliberately declarative values, not code: the generic solver in
-:mod:`repro.checking.solver` interprets them, the registry composes them
+These are deliberately declarative values, not code: the kernel search in
+:mod:`repro.kernel.search` interprets them, the registry composes them
 into the paper's named models, and new memories (Section 7) are built by
 recombining them.
 """

@@ -38,7 +38,7 @@ __all__ = [
     "HYBRID_SPEC",
     "SLOW_SPEC",
     "COHERENT_CAUSAL_SPEC",
-    "COHERENT_PRAM_SPEC",
+    "PC_G_SPEC",
     "RYW_SPEC",
     "MR_SPEC",
     "MW_SPEC",
@@ -202,8 +202,8 @@ COHERENT_CAUSAL_SPEC = MemoryModelSpec(
     ),
 )
 
-COHERENT_PRAM_SPEC = MemoryModelSpec(
-    name="CoherentPRAM",
+PC_G_SPEC = MemoryModelSpec(
+    name="PC-G",
     operation_set=OperationSet.REMOTE_WRITES,
     mutual_consistency=MutualConsistency.COHERENCE,
     ordering=PO,
@@ -322,10 +322,10 @@ ALL_SPECS: tuple[MemoryModelSpec, ...] = (
     COHERENCE_SPEC,
     RC_SC_SPEC,
     RC_PC_SPEC,
+    PC_G_SPEC,
+    COHERENT_CAUSAL_SPEC,
     HYBRID_SPEC,
     SLOW_SPEC,
-    COHERENT_CAUSAL_SPEC,
-    COHERENT_PRAM_SPEC,
     RYW_SPEC,
     MR_SPEC,
     MW_SPEC,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.checking import count_legal_extensions, find_legal_extension, iter_legal_extensions
+from repro.kernel import count_legal_extensions, find_legal_extension, iter_legal_extensions
 from repro.core import CheckerError, read, write
 from repro.core.view import is_legal_sequence
 from repro.litmus import parse_history

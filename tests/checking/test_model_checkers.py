@@ -4,15 +4,7 @@ The catalog tests (tests/litmus) sweep every litmus entry; here each
 checker gets focused cases including witness-view validation.
 """
 
-from repro.checking import (
-    check_causal,
-    check_coherence,
-    check_pc,
-    check_pc_goodman,
-    check_pram,
-    check_sc,
-    check_tso,
-)
+from repro.checking import check, check_pram, check_sc, check_tso
 from repro.core.view import is_legal_sequence
 from repro.litmus import parse_history
 
@@ -90,21 +82,21 @@ class TestTSO:
 
 class TestPC:
     def test_fig2_allowed(self, fig2):
-        assert check_pc(fig2).allowed
+        assert check(fig2, "PC").allowed
 
     def test_mp_rejected(self):
         h = parse_history("p: w(x)1 w(y)2 | q: r(y)2 r(x)0")
-        assert not check_pc(h).allowed
+        assert not check(h, "PC").allowed
 
     def test_iriw_allowed(self):
         h = parse_history(
             "p: w(x)1 | q: w(y)1 | r: r(x)1 r(y)0 | s: r(y)1 r(x)0"
         )
-        assert check_pc(h).allowed
+        assert check(h, "PC").allowed
 
     def test_coherence_enforced(self):
         h = parse_history("p: w(x)1 w(x)2 | q: r(x)2 r(x)1")
-        assert not check_pc(h).allowed
+        assert not check(h, "PC").allowed
 
 
 class TestPRAM:
@@ -132,50 +124,49 @@ class TestPRAM:
 
 class TestCausal:
     def test_fig4_allowed(self, fig4):
-        assert check_causal(fig4).allowed
+        assert check(fig4, "Causal").allowed
 
     def test_wrc_rejected(self):
         h = parse_history("p: w(x)1 | q: r(x)1 w(y)2 | r: r(y)2 r(x)0")
-        assert not check_causal(h).allowed
+        assert not check(h, "Causal").allowed
 
     def test_fig3_allowed(self, fig3):
         # Per-location disagreement on concurrent writes is causal.
-        assert check_causal(fig3).allowed
+        assert check(fig3, "Causal").allowed
 
 
 class TestCoherence:
     def test_mp_allowed(self):
         # Coherence has no cross-location ordering at all.
         h = parse_history("p: w(x)1 w(y)2 | q: r(y)2 r(x)0")
-        assert check_coherence(h).allowed
+        assert check(h, "Coherence").allowed
 
     def test_corr_rejected(self):
         h = parse_history("p: w(x)1 w(x)2 | q: r(x)2 r(x)1")
-        assert not check_coherence(h).allowed
+        assert not check(h, "Coherence").allowed
 
     def test_fig3_rejected(self, fig3):
-        assert not check_coherence(fig3).allowed
+        assert not check(fig3, "Coherence").allowed
 
 
 class TestGoodmanPC:
     def test_is_pram_plus_coherence(self, fig3):
         # fig3 is PRAM but not coherent, so PC-G rejects it.
-        assert not check_pc_goodman(fig3).allowed
+        assert not check(fig3, "PC-G").allowed
 
     def test_sb_allowed(self, fig1):
-        assert check_pc_goodman(fig1).allowed
+        assert check(fig1, "PC-G").allowed
 
     def test_keeps_the_kernel_witness(self):
-        # PC-G is CoherentPRAM under another name: the renamed result
-        # carries the kernel's witness, not just its views.
-        from repro.checking import check
+        # PC-G is decided by the kernel: the result carries the kernel's
+        # witness, not just its views.
         from repro.kernel.search import check_with_spec
         from repro.litmus.catalog import CATALOG
-        from repro.spec.registry import COHERENT_PRAM_SPEC
+        from repro.spec.registry import PC_G_SPEC
 
         h = CATALOG["fig1-sb"].history
         res = check(h, "PC-G")
-        ref = check_with_spec(COHERENT_PRAM_SPEC, h)
+        ref = check_with_spec(PC_G_SPEC, h)
         assert res.model == "PC-G" and res.allowed
         assert res.witness is not None and res.witness == ref.witness
 
@@ -186,4 +177,4 @@ class TestGoodmanPC:
         # separation shows up in the lattice tests on the enumerated
         # space, which find witnesses in both directions.)
         h = parse_history("p: w(x)1 | q: r(x)1 w(y)1 | r: r(y)1 r(x)0")
-        assert check_pc_goodman(h).allowed
+        assert check(h, "PC-G").allowed

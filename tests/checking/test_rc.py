@@ -1,15 +1,15 @@
 """Release-consistency checker tests, including the Section 5 experiment."""
 
-from repro.checking import check_rc_pc, check_rc_sc
+from repro.checking import check
 from repro.litmus import parse_history
 
 
 class TestSection5:
     def test_bakery_violation_allowed_by_rc_pc(self, bakery_violation):
-        assert check_rc_pc(bakery_violation).allowed
+        assert check(bakery_violation, "RC_pc").allowed
 
     def test_bakery_violation_rejected_by_rc_sc(self, bakery_violation):
-        assert not check_rc_sc(bakery_violation).allowed
+        assert not check(bakery_violation, "RC_sc").allowed
 
     def test_sequentialized_bakery_allowed_by_both(self):
         # p1 completes its whole protocol before p2 starts: trivially fine.
@@ -17,37 +17,37 @@ class TestSection5:
             "p1: w*(c0)1 r*(n1)0 w*(n0)1 w*(c0)0 r*(c1)0 r*(n1)0 w(cs)1 w*(n0)0 | "
             "p2: w*(c1)1 r*(n0)0 w*(n1)2 w*(c1)0 r*(c0)0 r*(n0)0 w(cs)2 w*(n1)0"
         )
-        assert check_rc_sc(h).allowed
-        assert check_rc_pc(h).allowed
+        assert check(h, "RC_sc").allowed
+        assert check(h, "RC_pc").allowed
 
 
 class TestLabeledDiscipline:
     def test_labeled_sb_rejected_by_rc_sc(self):
         # The SB shape on sync variables: SC labeled ops forbid it.
         h = parse_history("p: w*(x)1 r*(y)0 | q: w*(y)1 r*(x)0")
-        assert not check_rc_sc(h).allowed
+        assert not check(h, "RC_sc").allowed
 
     def test_labeled_sb_allowed_by_rc_pc(self):
         # PC labeled ops allow the bypass (labeled ppo drops w->r).
         h = parse_history("p: w*(x)1 r*(y)0 | q: w*(y)1 r*(x)0")
-        assert check_rc_pc(h).allowed
+        assert check(h, "RC_pc").allowed
 
     def test_labeled_mp_rejected_by_both(self):
         # Labeled MP staleness violates PC of the labeled ops too.
         h = parse_history("p: w*(x)1 w*(y)2 | q: r*(y)2 r*(x)0")
-        assert not check_rc_sc(h).allowed
-        assert not check_rc_pc(h).allowed
+        assert not check(h, "RC_sc").allowed
+        assert not check(h, "RC_pc").allowed
 
     def test_no_labeled_ops_degenerates_to_coherent_ppo(self):
         # With nothing labeled, both RC variants impose coherence + ppo.
         h = parse_history("p: w(x)1 r(y)0 | q: w(y)1 r(x)0")
-        assert check_rc_sc(h).allowed
-        assert check_rc_pc(h).allowed
+        assert check(h, "RC_sc").allowed
+        assert check(h, "RC_pc").allowed
 
     def test_ordinary_mp_allowed_even_under_rc_sc(self):
         # Unlabeled MP: ordinary operations are free to be stale.
         h = parse_history("p: w(x)1 w(y)2 | q: r(y)2 r(x)0")
-        assert check_rc_sc(h).allowed
+        assert check(h, "RC_sc").allowed
 
 
 class TestBracketing:
@@ -58,23 +58,23 @@ class TestBracketing:
         h = parse_history(
             "p: w(x)1 w*(s)1 | q: r*(s)1 r(x)0"
         )
-        assert not check_rc_sc(h).allowed
-        assert not check_rc_pc(h).allowed
+        assert not check(h, "RC_sc").allowed
+        assert not check(h, "RC_pc").allowed
 
     def test_acquired_data_fresh_version_allowed(self):
         h = parse_history("p: w(x)1 w*(s)1 | q: r*(s)1 r(x)1")
-        assert check_rc_sc(h).allowed
-        assert check_rc_pc(h).allowed
+        assert check(h, "RC_sc").allowed
+        assert check(h, "RC_pc").allowed
 
     def test_unsynchronized_staleness_allowed(self):
         # Without the acquire, the stale read is ordinary RC behavior.
         h = parse_history("p: w(x)1 w*(s)1 | q: r(x)0")
-        assert check_rc_sc(h).allowed
+        assert check(h, "RC_sc").allowed
 
     def test_relaxed_before_acquire_unconstrained(self):
         # An ordinary op *before* any acquire is not bracketed from below.
         h = parse_history("p: w(x)1 w*(s)1 | q: r(x)0 r*(s)1")
-        assert check_rc_sc(h).allowed
+        assert check(h, "RC_sc").allowed
 
 
 class TestRCStrength:
@@ -87,5 +87,5 @@ class TestRCStrength:
         ]
         for text in samples:
             h = parse_history(text)
-            if check_rc_sc(h).allowed:
-                assert check_rc_pc(h).allowed, text
+            if check(h, "RC_sc").allowed:
+                assert check(h, "RC_pc").allowed, text

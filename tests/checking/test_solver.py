@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.checking import SearchBudget, check_with_spec
+from repro.kernel import SearchBudget, check_with_spec
 from repro.core import CheckerError
 from repro.litmus import parse_history
 from repro.spec import CAUSAL_SPEC, PRAM_SPEC, SC_SPEC, TSO_SPEC, get_spec

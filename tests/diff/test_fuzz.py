@@ -16,6 +16,8 @@ class TestFuzzConfig:
     def test_unknown_model_rejected(self):
         with pytest.raises(DiffError, match="unknown model"):
             FuzzConfig(models=("SC", "Bogus"))
+        with pytest.raises(DiffError, match="did you mean read-your-writes"):
+            FuzzConfig(models=("ryw",))
 
     def test_unknown_shape_rejected(self):
         with pytest.raises(DiffError, match="unknown shape"):

@@ -65,6 +65,8 @@ def test_rejects_unknown_and_spec_less_models():
         EngineSession(("TSO-axiomatic",))
     with pytest.raises(EngineError, match="at least one model"):
         EngineSession(())
+    with pytest.raises(EngineError, match="did you mean read-your-writes"):
+        EngineSession(["ryw"])
 
 
 def test_parse_op_line_errors():

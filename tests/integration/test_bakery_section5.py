@@ -12,7 +12,7 @@ Three layers of the claim, all checked:
 
 import pytest
 
-from repro.checking import check_rc_pc, check_rc_sc
+from repro.checking import check
 from repro.machines import RCMachine
 from repro.programs import DelayDeliveriesScheduler, RandomScheduler, run
 from repro.programs.mutex import bakery_program
@@ -37,13 +37,13 @@ def violating_run():
 
 class TestDeclarative:
     def test_paper_history_distinguishes_models(self, bakery_violation):
-        assert check_rc_pc(bakery_violation).allowed
-        assert not check_rc_sc(bakery_violation).allowed
+        assert check(bakery_violation, "RC_pc").allowed
+        assert not check(bakery_violation, "RC_sc").allowed
 
     def test_rc_pc_witness_orders_remote_writes_late(self, bakery_violation):
         # The paper's intuition: "each processor can order the writes of
         # the other after all of its own operations."
-        res = check_rc_pc(bakery_violation)
+        res = check(bakery_violation, "RC_pc")
         for proc in res.views:
             view = res.views[proc]
             own_last_sync = max(
@@ -85,8 +85,8 @@ class TestOperational:
 class TestLoopClosed:
     def test_violating_trace_is_rc_pc_but_not_rc_sc(self, violating_run):
         h = violating_run.history
-        assert check_rc_pc(h).allowed, "machine produced a non-RC_pc trace"
-        assert not check_rc_sc(h).allowed, (
+        assert check(h, "RC_pc").allowed, "machine produced a non-RC_pc trace"
+        assert not check(h, "RC_sc").allowed, (
             "a mutual-exclusion-violating Bakery trace cannot be RC_sc "
             "(Gibbons-Merritt-Gharachorloo: properly-labeled SC-correct "
             "programs stay correct on RC_sc)"

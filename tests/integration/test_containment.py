@@ -76,7 +76,7 @@ class TestOnMachineTraces:
 class TestPaperProofShape:
     def test_tso_views_reusable_for_pc(self, fig1):
         """Section 4's proof: the TSO witness views satisfy PC's needs."""
-        from repro.checking import check_pc, check_tso
+        from repro.checking import check_tso
         from repro.orders import sem_relation, unique_reads_from
 
         tso = check_tso(fig1)
@@ -97,4 +97,4 @@ class TestPaperProofShape:
                     assert view.orders(a, b), (
                         f"TSO view for {proc} breaks sem edge {a} -> {b}"
                     )
-        assert check_pc(fig1).allowed
+        assert check(fig1, "PC").allowed

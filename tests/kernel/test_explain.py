@@ -15,14 +15,14 @@ import json
 import sys
 from pathlib import Path
 
-from repro.checking.models import MODELS, model_names
+from repro.checking.models import MODELS, resolve_models
 from repro.cli import main
 from repro.kernel.search import explain_with_spec
 from repro.litmus.catalog import CATALOG
 
 LOCK = Path(__file__).resolve().parent / "data" / "explain_lock.json"
 
-SPEC_MODELS = tuple(n for n in model_names() if MODELS[n].spec is not None)
+SPEC_MODELS = resolve_models("spec")
 
 
 def snapshot() -> list[dict]:

@@ -14,7 +14,7 @@ from itertools import zip_longest
 
 import pytest
 
-from repro.checking.models import MODELS, model_names
+from repro.checking.models import MODELS, resolve_models
 from repro.core.errors import CheckerError
 from repro.core.serialization import history_from_dict, history_to_dict
 from repro.kernel.constraints import (
@@ -28,7 +28,7 @@ from repro.kernel.results import CheckResult
 from repro.kernel.search import check_with_spec
 from repro.litmus import CATALOG, parse_history
 
-SPEC_MODELS = tuple(n for n in model_names() if MODELS[n].spec is not None)
+SPEC_MODELS = resolve_models("spec")
 
 
 def interleaved(history):

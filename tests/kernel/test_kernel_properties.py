@@ -15,12 +15,10 @@ from repro.kernel.search import check_with_spec
 from repro.litmus import CATALOG
 from repro.machines import MACHINE_MODEL_PAIRS
 
-#: Models whose registered checker is an independent fast path (the rest
-#: already dispatch to the kernel, so comparing them would be a tautology).
+#: Spec models with an independent fast path (the rest are decided by the
+#: kernel, so comparing them with it would be a tautology).
 FAST_MODELS = tuple(
-    name
-    for name, m in MODELS.items()
-    if m.spec is not None and m.checker.__module__ != "repro.checking.models"
+    name for name, m in MODELS.items() if m.spec is not None and m.fast is not None
 )
 
 

@@ -8,12 +8,12 @@ untraced check returns, and the event stream is a faithful narration
 
 import pytest
 
-from repro.checking.models import MODELS, model_names
+from repro.checking.models import MODELS, resolve_models
 from repro.kernel.search import check_with_spec
 from repro.litmus import CATALOG
 from repro.obs import RecordingSink, VerdictReached, render_trace, tracing
 
-SPEC_MODELS = [n for n in model_names() if MODELS[n].spec is not None]
+SPEC_MODELS = resolve_models("spec")
 CASES = [(name, model) for name in CATALOG for model in SPEC_MODELS]
 
 

@@ -13,7 +13,7 @@ spec-backed model.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.checking.models import MODELS, model_names
+from repro.checking.models import MODELS, resolve_models
 from repro.core.serialization import check_result_to_dict
 from repro.kernel.backend import (
     active_backend,
@@ -36,7 +36,7 @@ RELAXED = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-SPEC_MODELS = tuple(n for n in model_names() if MODELS[n].spec is not None)
+SPEC_MODELS = resolve_models("spec")
 
 
 @st.composite

@@ -15,7 +15,7 @@ from itertools import zip_longest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.checking.models import MODELS, model_names
+from repro.checking.models import MODELS, resolve_models
 from repro.engine import EngineSession
 from repro.kernel.incremental import HistoryStream, IncrementalCheck
 from repro.kernel.search import check_with_spec
@@ -28,7 +28,7 @@ RELAXED = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-SPEC_MODELS = tuple(n for n in model_names() if MODELS[n].spec is not None)
+SPEC_MODELS = resolve_models("spec")
 
 
 def interleaved(history):

@@ -2,7 +2,7 @@
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.checking import find_legal_extension, iter_legal_extensions
+from repro.kernel import find_legal_extension, iter_legal_extensions
 from repro.core.view import first_legality_violation, is_legal_sequence
 from repro.orders import po_relation
 from repro.orders.relation import Relation

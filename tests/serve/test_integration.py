@@ -12,9 +12,9 @@ import time
 
 import pytest
 
-from repro.checking.models import MODELS, model_names
+from repro.checking.models import MODELS, check, model_names, resolve_models
 from repro.core.serialization import check_result_to_dict
-from repro.engine import SqliteResultStore
+from repro.engine import EngineSession, SqliteResultStore
 from repro.kernel.search import check_with_spec
 from repro.litmus import CATALOG
 from repro.serve import ServeConfig, ServerThread
@@ -69,6 +69,28 @@ class TestAcceptance:
                 got = response["results"][model_name]
                 assert got == expected_dict, (name, model_name)
                 assert response["models"][model_name] == expected.allowed
+
+
+class TestModelNames:
+    def test_every_surface_reports_the_registry_name(self, server):
+        """One name per model: check, the kernel, sessions and /check."""
+        h = CATALOG["fig1-sb"].history
+        status, response = _request(
+            server.port, "POST", "/check", {"history": "fig1-sb", "models": "spec"}
+        )
+        assert status == 200
+        for n in resolve_models("spec"):
+            assert check(h, n).model == n
+            assert check_with_spec(MODELS[n].spec, h).model == n
+            assert EngineSession([n], history=h).last_results[n].model == n
+            assert response["results"][n]["model"] == n
+
+    def test_unknown_model_is_a_400_with_a_hint(self, server):
+        status, body = _request(
+            server.port, "POST", "/check", {"history": "fig1-sb", "models": "ryw"}
+        )
+        assert status == 400
+        assert "did you mean read-your-writes" in body["error"]
 
 
 class TestEndpoints:

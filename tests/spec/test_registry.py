@@ -150,9 +150,9 @@ class TestModelZoo:
         ).cache_key
 
     def test_spec_names_ordering_is_stable(self):
-        # spec_names() is the registry's presentation order: the paper's
-        # models first, then Section 7 recombinations, then the zoo
-        # growth — append-only, and deterministic across calls.
+        # spec_names() is the registry's presentation order (the order
+        # model_names() shows): the paper's models first, then the zoo
+        # growth — deterministic across calls.
         names = spec_names()
         assert names == spec_names()
         assert names == tuple(spec.name for spec in ALL_SPECS)

@@ -31,6 +31,11 @@ class TestCheck:
         rc = main(["check", "p: w(x)1", "--model", "Nonsense"])
         assert rc == 2
 
+    def test_unknown_model_suggests_near_miss(self, capsys):
+        rc = main(["check", "p: w(x)1", "--model", "ryw"])
+        assert rc == 2
+        assert "did you mean read-your-writes" in capsys.readouterr().err
+
 
 class TestCheckStream:
     def _feed(self, monkeypatch, text):
@@ -279,6 +284,20 @@ class TestModels:
         out = capsys.readouterr().out
         assert "SC" in out and "TSO-axiomatic" in out
 
+    def test_descriptions_are_whole_and_aligned(self, capsys):
+        from repro.checking import model_names
+
+        assert main(["models"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(model_names())
+        tso = next(line for line in lines if line.startswith("TSO "))
+        assert "1991)" in tso  # not cut at "et al. "
+        # Every description starts in the column after the longest name.
+        column = max(map(len, model_names())) + 1
+        for line, name in zip(lines, model_names()):
+            assert line[:column].rstrip() == name
+            assert line[column - 1] == " " and line[column] != " "
+
 
 class TestLintHistory:
     def test_denied_catalog_entry_exits_one(self, capsys):
@@ -378,7 +397,8 @@ class TestSweepPrepass:
 class TestTrace:
     def test_acceptance_prefix_and_witness_agreement(self, capsys):
         """`trace fig1 TSO` narrates; verdict + views match check_with_spec."""
-        from repro.checking import MODELS, check_with_spec
+        from repro.checking import MODELS
+        from repro.kernel import check_with_spec
         from repro.litmus import CATALOG
 
         rc = main(["trace", "fig1", "TSO"])

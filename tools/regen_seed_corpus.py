@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from repro.checking.models import MODELS, model_names
+from repro.checking.models import resolve_models
 from repro.diff import DiscrepancyCorpus, FuzzConfig, harvest_fixtures
 from repro.diff.fuzz import SEPARATOR_PATTERNS
 from repro.diff.oracles import (
@@ -53,7 +53,7 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    panel = tuple(n for n in model_names() if MODELS[n].spec is not None)
+    panel = resolve_models("spec")
     cfg = FuzzConfig(seed=args.seed, count=args.count, models=panel)
     engine = None
     if args.jobs > 1:
