@@ -157,12 +157,13 @@ def test_violation_rate_vs_propagation_speed(record_claims, benchmark):
 def test_engine_parallel_speedup(record_claims, benchmark):
     """E12c — the batch engine's own scalability: parallel sweep vs serial.
 
-    Runs the exhaustive 2×2 space sweep (210 canonical histories × all 13
-    models) through :class:`repro.engine.CheckEngine` at ``jobs=1`` and at
-    ``jobs=min(4, cpus)``.  The >1.5× speedup claim is asserted only on
-    multi-core hosts — a single-CPU container cannot speed anything up, so
-    there the measured ratio is recorded informationally instead.  Result
-    equality and a warm relation cache are asserted everywhere.
+    Runs the exhaustive 2×2 space sweep (210 canonical histories × every
+    registered model) through :class:`repro.engine.CheckEngine` at
+    ``jobs=1`` and at ``jobs=min(4, cpus)``. The >1.5× speedup claim is
+    asserted only on multi-core hosts — a single-CPU container cannot speed
+    anything up, so there the measured ratio is recorded informationally
+    instead. Result equality and a warm relation cache are asserted
+    everywhere.
     """
     import os
 
@@ -210,7 +211,7 @@ def test_engine_parallel_speedup(record_claims, benchmark):
     for claim, paper, measured in rows:
         record_claims(claim, paper, measured)
     print(
-        f"\n   2x2 space sweep (210 histories x 13 models): "
+        f"\n   2x2 space sweep (210 histories x all models): "
         f"serial {serial_s:.2f}s, jobs={jobs} {parallel_s:.2f}s "
         f"({serial_s / parallel_s:.2f}x); cache hit rate {hit_rate:.1%}"
     )

@@ -32,6 +32,7 @@ from typing import Iterator
 from repro.checking.models import resolve_models
 from repro.core.errors import CheckerError, EngineError
 from repro.core.history import SystemHistory
+from repro.litmus.dsl import LOCATION_RE
 
 __all__ = ["CheckJob", "SweepSpec", "SOURCES"]
 
@@ -90,6 +91,11 @@ class SweepSpec:
             )
         if not self.locations:
             raise EngineError("a sweep needs at least one location")
+        for loc in self.locations:
+            # Keys separate locations with "," and fields with ":", so a
+            # name holding either could make two specs share a key.
+            if not (isinstance(loc, str) and LOCATION_RE.fullmatch(loc)):
+                raise EngineError(f"bad location name {loc!r}")
         if self.source == "random":
             if self.count < 1:
                 raise EngineError(f"random source needs count >= 1, got {self.count}")

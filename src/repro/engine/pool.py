@@ -11,22 +11,15 @@ Histories cross the process boundary in the versioned wire format of
 :mod:`repro.core.serialization` rather than as pickled objects, keeping the
 protocol stable and start-method agnostic (fork and spawn both work).
 
-A *persistent* engine (``persistent=True``) is the warm-daemon variant the
-serve layer runs on: the worker pool is created once and reused across
-runs, and sweep payloads travel through the shared-memory
-:class:`~repro.engine.arena.PlaneArena` — one segment per distinct
-history (keyed by :func:`~repro.engine.arena.plane_key` content hash)
-holding the history plus its compiled plane masks — so a repeated sweep
-re-pickles nothing and workers skip recompilation by installing the
-decoded plane into the kernel's plane LRU.
+Every ``jobs > 1`` run starts its own pool and tears it down when the run
+ends; nothing outlives a run, so an engine needs no closing.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import signal
 import time
-import weakref
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -35,12 +28,10 @@ from repro.checking.models import MODELS, check, model_names
 from repro.core.errors import EngineError
 from repro.core.history import SystemHistory
 from repro.core.serialization import history_from_dict, history_to_dict, view_to_dict
-from repro.engine.arena import PlaneArena, plane_key
 from repro.engine.cache import RelationCache
 from repro.engine.jobs import SweepSpec
 from repro.engine.metrics import EngineMetrics
 from repro.engine.store import ResultStore
-from repro.kernel.constraints import install_plane
 from repro.orders.memo import relation_memo
 
 __all__ = ["CheckEngine", "SweepReport", "DEFAULT_CACHE_HISTORIES"]
@@ -48,9 +39,7 @@ __all__ = ["CheckEngine", "SweepReport", "DEFAULT_CACHE_HISTORIES"]
 #: Per-worker bound on distinct histories held in the relation cache.
 DEFAULT_CACHE_HISTORIES = 256
 
-#: One unit of worker input: (key, payload dict, model names).  The payload
-#: is either a history wire dict or an arena marker
-#: ``{"__arena__": segment_name}`` (see :func:`_payload_history`).
+#: One unit of worker input: (key, history wire dict, model names).
 _Payload = tuple[str, dict, tuple[str, ...]]
 
 # Per-worker state, installed by the pool initializer (one per process).
@@ -66,36 +55,7 @@ def _fresh_state(
         "cache": RelationCache(max_histories=cache_histories),
         "store_views": store_views,
         "prepass": prepass,
-        # Attach cache for arena payloads: segment name -> decoded history,
-        # bounded like the relation cache.  A hit costs one dict lookup and
-        # keeps the previously installed plane warm.
-        "arena": OrderedDict(),
-        "arena_bound": cache_histories,
     }
-
-
-def _payload_history(payload: dict, state: dict) -> SystemHistory:
-    """Materialize a payload's history: wire dict, or shared-memory segment.
-
-    Arena payloads are decoded once per worker and cached by segment name;
-    the decoded plane is installed into the kernel's plane LRU so every
-    check of the history — this job and later jobs alike — compiles
-    nothing the parent already compiled.
-    """
-    name = payload.get("__arena__")
-    if name is None:
-        return history_from_dict(payload)
-    attach_cache: OrderedDict = state["arena"]
-    cached = attach_cache.get(name)
-    if cached is not None:
-        attach_cache.move_to_end(name)
-        return cached
-    history, plane = PlaneArena.load(name)
-    install_plane(history, plane)
-    attach_cache[name] = history
-    while len(attach_cache) > state["arena_bound"]:
-        attach_cache.popitem(last=False)
-    return history
 
 
 def _warm_models() -> None:
@@ -113,6 +73,10 @@ def _warm_models() -> None:
 
 def _init_worker(cache_histories: int, store_views: bool, prepass: bool) -> None:
     global _WORKER_STATE
+    # A worker forked from ``repro serve`` inherits its event loop's no-op
+    # SIGTERM handler and would outlive the pool's terminate(), which then
+    # waits on it forever; restore the default so teardown ends it.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     _warm_models()
     _WORKER_STATE = _fresh_state(cache_histories, store_views, prepass)
 
@@ -134,7 +98,7 @@ def _run_chunk_impl(chunk: Sequence[_Payload], state: dict) -> dict:
     phase_seconds: dict[str, float] = {}
     records: list[dict] = []
     for key, history_dict, models in chunk:
-        history = _payload_history(history_dict, state)
+        history = history_from_dict(history_dict)
         verdicts: dict[str, bool] = {}
         explored: dict[str, int] = {}
         views: dict[str, list[dict]] = {}
@@ -204,14 +168,6 @@ def _run_chunk(chunk: Sequence[_Payload]) -> dict:
     return _run_chunk_impl(chunk, _WORKER_STATE)
 
 
-def _terminate_pools(holder: list) -> None:
-    """Terminate and forget every pool in ``holder`` (finalizer-safe)."""
-    while holder:
-        pool = holder.pop()
-        pool.terminate()
-        pool.join()
-
-
 def _run_panel_chunk_impl(chunk: Sequence[_Payload], state: dict) -> list[dict]:
     """Oracle-panel verdicts for every payload of ``chunk``, in order.
 
@@ -226,7 +182,7 @@ def _run_panel_chunk_impl(chunk: Sequence[_Payload], state: dict) -> list[dict]:
     panels: list[dict] = []
     with relation_memo(cache):
         for _key, history_dict, models in chunk:
-            history = _payload_history(history_dict, state)
+            history = history_from_dict(history_dict)
             panels.append(panel_verdicts(history, models))
     return panels
 
@@ -279,12 +235,6 @@ class CheckEngine:
         and skip the search on a definite DENY.  Sound — verdicts are
         identical with it on or off — so it defaults on; disable to
         benchmark the raw kernel (``sweep --no-prepass``).
-    persistent:
-        Keep the worker pool alive across runs (the warm daemon) and, for
-        ``jobs > 1``, ship sweep payloads through a shared-memory
-        :class:`~repro.engine.arena.PlaneArena` instead of pickling each
-        history per job.  Results are identical either way; call
-        :meth:`close` (or use the engine as a context manager) when done.
     """
 
     def __init__(
@@ -294,7 +244,6 @@ class CheckEngine:
         cache_histories: int = DEFAULT_CACHE_HISTORIES,
         store_views: bool = False,
         prepass: bool = True,
-        persistent: bool = False,
     ) -> None:
         if jobs < 1:
             raise EngineError(f"jobs must be >= 1, got {jobs}")
@@ -305,41 +254,7 @@ class CheckEngine:
         self.cache_histories = cache_histories
         self.store_views = store_views
         self.prepass = prepass
-        self.persistent = persistent
         self._local_state: dict | None = None
-        # The persistent pool lives in a one-slot holder so a finalizer can
-        # terminate it without keeping the engine itself alive.
-        self._pool_holder: list = []
-        self._arena: PlaneArena | None = None
-        self._finalizer = weakref.finalize(self, _terminate_pools, self._pool_holder)
-
-    # -- warm-daemon lifecycle ---------------------------------------------------
-
-    @property
-    def arena(self) -> PlaneArena | None:
-        """The live plane arena, if this engine runs warm with workers."""
-        if not (self.persistent and self.jobs > 1):
-            return None
-        if self._arena is None:
-            self._arena = PlaneArena()
-        return self._arena
-
-    def close(self) -> None:
-        """Release the persistent pool and arena (idempotent).
-
-        A closed engine stays usable — the next run simply starts cold
-        again, re-creating the pool and arena on demand.
-        """
-        _terminate_pools(self._pool_holder)
-        if self._arena is not None:
-            self._arena.close()
-            self._arena = None
-
-    def __enter__(self) -> "CheckEngine":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
 
     # -- serial cached checking (the in-process fast path) ----------------------
 
@@ -444,26 +359,9 @@ class CheckEngine:
                 }
             )
 
-        arena = self.arena
-        if arena is not None:
-            # Warm path: one shared-memory segment per distinct history
-            # (content-hash keyed — job keys collide across specs), shipped
-            # by name instead of re-pickled per job.  Reserve before the
-            # puts so eviction can never unlink a segment whose name is
-            # still queued in a payload.
-            arena.reserve(len(todo))
-            payloads: list[_Payload] = [
-                (
-                    job.key,
-                    {"__arena__": arena.put(plane_key(job.history), job.history)},
-                    job.models,
-                )
-                for job in todo
-            ]
-        else:
-            payloads = [
-                (job.key, history_to_dict(job.history), job.models) for job in todo
-            ]
+        payloads: list[_Payload] = [
+            (job.key, history_to_dict(job.history), job.models) for job in todo
+        ]
         results: list[dict] = []
         for out in self._execute(self._chunks(payloads)):
             metrics.cache_hits += out["cache_hits"]
@@ -541,22 +439,6 @@ class CheckEngine:
             self._local_state = state
             for chunk in chunks:
                 yield impl(chunk, state)
-            return
-        if self.persistent:
-            if not self._pool_holder:
-                ctx = multiprocessing.get_context()
-                self._pool_holder.append(
-                    ctx.Pool(
-                        processes=self.jobs,
-                        initializer=_init_worker,
-                        initargs=(
-                            self.cache_histories,
-                            self.store_views,
-                            self.prepass,
-                        ),
-                    )
-                )
-            yield from self._pool_holder[0].imap(worker, chunks)
             return
         ctx = multiprocessing.get_context()
         with ctx.Pool(

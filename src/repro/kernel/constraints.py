@@ -419,10 +419,9 @@ def install_plane(history: SystemHistory, plane: HistoryPlane) -> None:
     The incremental session's hook: after growing a plane in place
     (:func:`extend_plane`) the session installs it so the stock driver —
     which derives its plane through :func:`history_plane` — runs on the
-    extended data instead of recompiling.  The warm worker pool uses the
-    same hook to seed planes decoded from the shared-memory arena.
-    Installing a plane that was not built for ``history`` corrupts every
-    later check of it; only those two callers should install.
+    extended data instead of recompiling.  Installing a plane that was
+    not built for ``history`` corrupts every later check of it; the
+    session is the only caller that should install.
     """
     _plane_cache_insert(history, plane)
 

@@ -34,13 +34,16 @@ from repro.core.errors import ParseError
 from repro.core.history import HistoryBuilder, SystemHistory
 from repro.core.operation import Operation, OpKind
 
-__all__ = ["parse_history", "format_history", "parse_operations"]
+__all__ = ["parse_history", "format_history", "parse_operations", "LOCATION_RE"]
+
+#: A memory location name: an identifier that may carry array brackets.
+LOCATION_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_\[\]]*")
 
 _OP_RE = re.compile(
-    r"""
+    rf"""
     (?P<kind>[wru])
     (?P<label>\*)?
-    \(\s*(?P<loc>[A-Za-z_][A-Za-z0-9_\[\]]*)\s*\)
+    \(\s*(?P<loc>{LOCATION_RE.pattern})\s*\)
     (?P<v1>-?\d+)
     (?:\s*->\s*(?P<v2>-?\d+))?
     """,

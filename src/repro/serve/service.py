@@ -234,14 +234,8 @@ class CheckService:
             else None
         )
         self._store_lock = threading.Lock()
-        # The warm sweep engine: created on the first sweep job and kept
-        # across jobs, so repeated sweeps reuse the worker pool and the
-        # shared-memory plane arena instead of paying cold start + a
-        # pickled history per job.  drain() closes it.
-        self._sweep_engine: CheckEngine | None = None
-        self._sweep_engine_lock = threading.Lock()
-        # Sweep jobs share that engine (one pool, one arena), so runs are
-        # serialized; concurrent submissions queue rather than racing.
+        # Sweep jobs run one at a time, each on its own engine, so at most
+        # one sweep worker pool exists; concurrent submissions queue.
         self._sweep_run_lock = threading.Lock()
         self._executor = ThreadPoolExecutor(
             max_workers=max(1, self.config.workers),
@@ -447,27 +441,18 @@ class CheckService:
         self._submit(self._run_sweep, job, spec)
         return job
 
-    def _sweep_engine_handle(self) -> CheckEngine:
-        """The service's one persistent sweep engine (created on demand)."""
-        with self._sweep_engine_lock:
-            if self._sweep_engine is None:
-                self._sweep_engine = CheckEngine(
-                    jobs=self.config.sweep_jobs,
-                    prepass=self.config.prepass,
-                    persistent=True,
-                )
-            return self._sweep_engine
-
     def _run_sweep(self, job: Job, spec: SweepSpec) -> None:
         job.status = "running"
-        engine = self._sweep_engine_handle()
         try:
             # The sweep shares the service's store; per-record appends
             # are thread-safe on both backends (single O_APPEND writes /
             # SQLite's internal lock), so concurrent /check appends
             # interleave at record granularity.  The run lock only
-            # serializes sweeps against each other (shared warm engine).
+            # serializes sweeps against each other.
             with self._sweep_run_lock:
+                engine = CheckEngine(
+                    jobs=self.config.sweep_jobs, prepass=self.config.prepass
+                )
                 if self.store is not None:
                     report = engine.run(spec, store=self.store, resume=True)
                 else:
@@ -711,10 +696,6 @@ class CheckService:
         """
         self.closing = True
         self._executor.shutdown(wait=True)
-        with self._sweep_engine_lock:
-            if self._sweep_engine is not None:
-                self._sweep_engine.close()
-                self._sweep_engine = None
         if self.store is not None:
             with self._store_lock:
                 self.store.append_summary(self.store.summarize())

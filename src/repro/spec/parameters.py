@@ -313,9 +313,8 @@ def rule_by_name(name: str) -> OrderingRule | None:
     """Resolve an ordering rule from its stable name, or ``None``.
 
     Covers the module singletons plus every factory-made session and
-    partition rule (the factories cache, so the resolved object is
-    identical to the one specs hold — callers that key caches on rule
-    identity, like the plane arena, can rely on that).
+    partition rule.  The factories cache, so the resolved object is
+    identical to the one specs hold and may key caches on rule identity.
     """
     base = _BASE_RULES.get(name)
     if base is not None:

@@ -1,9 +1,12 @@
 """Tests for the declarative sweep specs and their job expansion."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.checking import model_names
 from repro.core.errors import EngineError
+from repro.core.serialization import history_to_dict
 from repro.engine import SweepSpec
 from repro.litmus import CATALOG
 
@@ -38,6 +41,11 @@ class TestValidation:
     def test_random_bad_p_write(self):
         with pytest.raises(EngineError, match="p_write"):
             SweepSpec(source="random", p_write=1.5)
+
+    @pytest.mark.parametrize("loc", ["x,y", "x:y", "", "1x", "x y", 1])
+    def test_bad_location_name(self, loc):
+        with pytest.raises(EngineError, match="location"):
+            SweepSpec(source="random", locations=(loc,))
 
 
 class TestModelResolution:
@@ -118,3 +126,69 @@ class TestDescribe:
     def test_random_records_generator_params(self):
         d = SweepSpec(source="random", count=7, seed=3, p_write=0.25).describe()
         assert d["count"] == 7 and d["seed"] == 3 and d["p_write"] == 0.25
+
+
+# Small pools keep near-identical specs common; the location alphabet
+# includes the key separators "," and ":".
+_FIELDS = {
+    "source": st.sampled_from(["catalog", "space", "random"]),
+    "procs": st.integers(1, 2),
+    "ops_per_proc": st.integers(1, 2),
+    "locations": st.lists(
+        st.one_of(
+            st.sampled_from(["x", "y", "x,y"]),
+            st.text(alphabet="xy,:[]_", min_size=1, max_size=3),
+        ),
+        min_size=1,
+        max_size=2,
+        unique=True,
+    ).map(tuple),
+    "seed": st.integers(0, 2),
+    "count": st.integers(1, 3),
+    "p_write": st.sampled_from([0.0, 0.5, 1.0]),
+}
+
+
+def _regrouped(locations: tuple[str, ...]):
+    """Location tuples whose comma-joined rendering equals ``locations``'s."""
+    parts = ",".join(locations).split(",")
+
+    def regroup(cuts: list[bool]) -> tuple[str, ...]:
+        groups = [parts[0]]
+        for cut, part in zip(cuts, parts[1:]):
+            if cut:
+                groups.append(part)
+            else:
+                groups[-1] += "," + part
+        return tuple(groups)
+
+    n = len(parts) - 1
+    return st.lists(st.booleans(), min_size=n, max_size=n).map(regroup)
+
+
+def _histories_by_key(args: dict) -> dict[str, dict]:
+    """Job key -> history wire dict; a rejected spec has no jobs."""
+    try:
+        spec = SweepSpec(models=("SC",), **args)
+    except EngineError:
+        return {}
+    return {job.key: history_to_dict(job.history) for job in spec.jobs()}
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_equal_keys_imply_equal_histories(data):
+    # Job keys are a sweep's only history identity (store resume, serve
+    # job ids), so they must be injective across every pair of specs.
+    # Keys can only collide between specs that agree on most fields, so
+    # the second spec redraws at most two of the first's fields, and its
+    # locations are often a regrouping that renders to the same key text.
+    a = data.draw(st.fixed_dictionaries(_FIELDS))
+    changed = data.draw(st.sets(st.sampled_from(sorted(_FIELDS)), max_size=2))
+    b = {**a, **{name: data.draw(_FIELDS[name]) for name in changed}}
+    b["locations"] = data.draw(
+        st.one_of(st.just(b["locations"]), _regrouped(a["locations"]))
+    )
+    left, right = _histories_by_key(a), _histories_by_key(b)
+    for key in left.keys() & right.keys():
+        assert left[key] == right[key], key

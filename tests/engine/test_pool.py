@@ -5,8 +5,14 @@ records — and therefore the bytes written to the store — are identical for
 any ``jobs`` value.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core.errors import EngineError
 from repro.engine import CheckEngine, ResultStore, SweepSpec
 from repro.litmus import CATALOG, parse_history
@@ -149,3 +155,29 @@ class TestChunking:
             SweepSpec(source="random", models=("SC",), count=1, seed=0)
         )
         assert report.metrics.histories == 1
+
+
+# A parent whose SIGTERM handler does nothing, as under ``repro serve``'s
+# event loop: forked workers inherit it, and the pool's teardown sends
+# them SIGTERM.
+_IGNORING_PARENT = """
+import signal
+from repro.engine import CheckEngine, SweepSpec
+
+signal.signal(signal.SIGTERM, lambda *_: None)
+spec = SweepSpec(source="catalog", models=("SC",))
+print(CheckEngine(jobs=2).run(spec).counts["SC"])
+"""
+
+
+def test_pool_teardown_ends_workers_of_a_sigterm_ignoring_parent():
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _IGNORING_PARENT],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert int(proc.stdout) == CheckEngine().run(SMALL).counts["SC"]

@@ -1,6 +1,14 @@
 """Unit tests for the service core: keys, resolution, caching, drain."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.checking.models import MODELS, PAPER_MODELS, model_names
 from repro.core.errors import EngineError
@@ -147,3 +155,41 @@ class TestDrain:
         assert records[0]["type"] == "run"
         assert records[-1]["type"] == "summary"
         assert key in store.completed_keys()
+
+
+# Runs the 2x2 space sweep (210 histories) under a 256-descriptor limit at
+# one and two sweep worker processes, printing each job's outcome.
+_LOW_FD_SWEEP = """
+import json, resource
+from repro.serve import CheckService, ServeConfig
+
+_, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+resource.setrlimit(resource.RLIMIT_NOFILE, (256, hard))
+out = {}
+for jobs in (1, 2):
+    service = CheckService(ServeConfig(sweep_jobs=jobs, log_requests=False))
+    job = service.submit_sweep({"source": "space", "models": "SC"})
+    service.drain()
+    out[jobs] = {"status": job.status, "error": job.error, "result": job.result}
+print(json.dumps(out))
+"""
+
+
+class TestSweepJobs:
+    def test_pooled_sweep_matches_serial_under_low_fd_limit(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", _LOW_FD_SWEEP],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+            check=True,
+        )
+        out = json.loads(proc.stdout)
+        serial, pooled = out["1"], out["2"]
+        assert serial["status"] == "done", serial["error"]
+        assert pooled["status"] == "done", pooled["error"]
+        assert serial["result"]["counts"] == {"SC": 140}
+        assert pooled["result"]["counts"] == serial["result"]["counts"]
+        assert pooled["result"]["metrics"]["workers"] == 2
