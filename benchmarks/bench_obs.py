@@ -37,7 +37,7 @@ OVERHEAD_BAR = 0.03
 def _sweep_gated():
     n = 0
     for spec, h in PAIRS:
-        if check_with_spec(spec, h, prepass=True).allowed:
+        if check_with_spec(spec, h).allowed:
             n += 1
     return n
 
@@ -45,7 +45,7 @@ def _sweep_gated():
 def _sweep_ungated():
     n = 0
     for spec, h in PAIRS:
-        if _check_with_spec_impl(spec, h, SearchBudget(), True, None).allowed:
+        if _check_with_spec_impl(spec, h, SearchBudget(), None).allowed:
             n += 1
     return n
 
@@ -55,7 +55,7 @@ def _sweep_null_sink():
     sink = NullSink()
     with tracing(sink):
         for spec, h in PAIRS:
-            if check_with_spec(spec, h, prepass=True).allowed:
+            if check_with_spec(spec, h).allowed:
                 n += 1
     return n
 

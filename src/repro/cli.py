@@ -14,7 +14,7 @@
     python -m repro lint history "p: w(x)1 | q: r(x)2" [--model SC]
     python -m repro lint spec [--broken-fixtures]
     python -m repro lint program figure6
-    python -m repro trace fig1 TSO [--markdown] [--no-prepass]
+    python -m repro trace fig1 TSO [--markdown]
     python -m repro profile [--models SC,TSO] [--repeat 3] [--markdown]
     python -m repro serve  [--host 127.0.0.1] [--port 8979] [--store URL]
     python -m repro store migrate results.jsonl sqlite:results.db
@@ -195,11 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--p-write", type=float, default=0.5, help="write probability (random)"
     )
-    p_sweep.add_argument(
-        "--no-prepass",
-        action="store_true",
-        help="disable the static DENY pre-pass (same verdicts, more searching)",
-    )
 
     p_fuzz = sub.add_parser(
         "fuzz",
@@ -264,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lint_history = lint_sub.add_parser(
         "history",
-        help="polynomial ADMIT/DENY pre-pass on one history "
+        help="polynomial DENY pre-pass on one history "
         "(exit 0: no denial; 1: some model denies; 2: usage error)",
     )
     p_lint_history.add_argument(
@@ -348,11 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=400,
         help="cap on rendered search steps (placements + backtracks)",
     )
-    p_trace.add_argument(
-        "--no-prepass",
-        action="store_true",
-        help="skip the static pre-pass phase of the narration",
-    )
 
     p_profile = sub.add_parser(
         "profile",
@@ -373,11 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--counters",
         action="store_true",
         help="also print the summed search-event counters",
-    )
-    p_profile.add_argument(
-        "--no-prepass",
-        action="store_true",
-        help="profile the raw kernel without the static pre-pass",
     )
 
     p_serve = sub.add_parser(
@@ -413,11 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1 << 20,
         help="reject request bodies larger than this (HTTP 413)",
-    )
-    p_serve.add_argument(
-        "--no-prepass",
-        action="store_true",
-        help="disable the static DENY pre-pass (same verdicts, more searching)",
     )
     p_serve.add_argument(
         "--quiet", action="store_true", help="suppress per-request log lines"
@@ -670,11 +650,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         seed=args.seed,
         p_write=args.p_write,
     )
-    engine = CheckEngine(
-        jobs=args.jobs,
-        store_views=args.store_views,
-        prepass=not args.no_prepass,
-    )
+    engine = CheckEngine(jobs=args.jobs, store_views=args.store_views)
     if args.out:
         with open_store(args.out) as store:
             report = engine.run(spec, store=store, resume=args.resume)
@@ -772,9 +748,7 @@ def _lint_history(args: argparse.Namespace) -> int:
     denied = 0
     for name in names:
         verdict = prepass_check(_spec_of(name), history)
-        if verdict.decided and verdict.allowed:
-            status, reason = "admit", "witness constructed"
-        elif verdict.decided:
+        if verdict.decided:
             status, reason = "deny", verdict.reason
             denied += 1
         else:
@@ -794,9 +768,7 @@ def _lint_history(args: argparse.Namespace) -> int:
     print(render_history(history, title="history:"))
     for row in rows:
         name, status = row["model"], row["status"]
-        if status == "admit":
-            print(f"  {name:16s} ADMIT ({row['check']}): {row['reason']}")
-        elif status == "deny":
+        if status == "deny":
             print(f"  {name:16s} DENY ({row['check']}): {row['reason']}")
         else:
             print(f"  {name:16s} unknown ({row['reason']})")
@@ -961,7 +933,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print("```")
     print()
     sink = RecordingSink()
-    result = check_with_spec(spec, history, prepass=not args.no_prepass, trace=sink)
+    result = check_with_spec(spec, history, trace=sink)
     print(
         render_trace(sink.events, markdown=args.markdown, max_steps=args.max_steps)
     )
@@ -988,9 +960,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         for name in names:
             spec = _spec_of(name)
             for _ in range(args.repeat):
-                _, profile = profile_check(
-                    spec, entry.history, prepass=not args.no_prepass
-                )
+                _, profile = profile_check(spec, entry.history)
                 agg.add(profile)
                 checks += 1
     print(
@@ -1017,7 +987,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         store_url=args.store,
         workers=args.workers,
         sweep_jobs=args.sweep_jobs,
-        prepass=not args.no_prepass,
         request_timeout=args.timeout,
         max_request_bytes=args.max_request_bytes,
         log_requests=not args.quiet,

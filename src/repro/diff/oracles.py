@@ -18,16 +18,13 @@ The repository can decide "does model M admit history H" five ways:
   verdict compared against a fresh one-shot check of the same prefix —
   the panel's only oracle that also cross-examines the intermediate
   states, not just the final answer;
-* **prepass** — the polynomial static battery
-  (:func:`repro.staticcheck.prepass_check`), sound in both directions:
-  when it decides, the decision must match the kernel, whether DENY
-  (a forced contradiction was found) or ADMIT (a legal topological
-  witness was constructed per view).
+* **prepass** — the polynomial static DENY battery
+  (:func:`repro.staticcheck.prepass_check`): when it denies (a forced
+  contradiction was found), the kernel must deny too.
 
 :func:`panel_verdicts` runs all five; :func:`find_discrepancies` flags every
 way their answers can be mutually impossible: direct verdict disagreement,
-a decided prepass verdict disagreeing with the kernel in either
-direction (a soundness violation), a
+a prepass DENY of a history the kernel admits (a soundness violation), a
 streamed prefix verdict diverging from a fresh check of the same prefix,
 a verdict pattern contradicting the Figure 5 containment lattice (Steinke
 & Nutt's unified-theory invariants, free on every random history), and a
@@ -106,17 +103,15 @@ def panel_verdicts(
 
     Returns ``{model: {"fast": bool, "kernel": bool, "legacy": bool,
     "incremental": bool, "incremental_prefix_ok": bool,
-    "prepass_deny": bool, "prepass_admit": bool}}`` — a plain picklable
-    dictionary, so the engine
+    "prepass_deny": bool}}`` — a plain picklable dictionary, so the engine
     can ship panels across its process boundary.  Models without a
     framework spec (the axiomatic TSO reference) only carry the ``fast``
     verdict: the other oracles are spec-driven.  Models without a fast
     path report the kernel verdict as ``fast``.
     ``incremental_prefix_ok`` is the streaming oracle's extra claim: every
     intermediate prefix's incremental verdict matched a fresh check of
-    that prefix (see :func:`_incremental_replay`).  ``prepass_deny`` and
-    ``prepass_admit`` split the static battery's outcome by polarity;
-    both ``False`` means it abstained.
+    that prefix (see :func:`_incremental_replay`).  ``prepass_deny`` is
+    ``False`` when the static battery abstained.
     """
     out: dict[str, dict[str, bool]] = {}
     for name in models:
@@ -133,15 +128,13 @@ def panel_verdicts(
         # its verdict rather than running the identical search twice.
         fast = kernel if model.fast is None else model.check(history).allowed
         final, prefix_ok = _incremental_replay(spec, history)
-        pre = prepass_check(spec, history)
         out[name] = {
             "fast": fast,
             "kernel": kernel,
             "legacy": legacy_check_with_spec(spec, history).allowed,
             "incremental": final,
             "incremental_prefix_ok": prefix_ok,
-            "prepass_deny": pre.decided and not pre.allowed,
-            "prepass_admit": pre.decided and pre.allowed,
+            "prepass_deny": prepass_check(spec, history).decided,
         }
     return out
 
@@ -230,15 +223,6 @@ def find_discrepancies(
                         "prepass-unsound",
                         (name,),
                         "static pre-pass DENYs a history the kernel ADMITs",
-                        row,
-                    )
-                )
-            if verdicts.get("prepass_admit") and not verdicts["kernel"]:
-                found.append(
-                    Discrepancy(
-                        "prepass-unsound",
-                        (name,),
-                        "static pre-pass ADMITs a history the kernel DENYs",
                         row,
                     )
                 )

@@ -25,18 +25,17 @@ class EngineMetrics:
     histories: int = 0
     checks: int = 0
     skipped: int = 0
+    #: Always 0: no engine check runs the static prepass.  Kept because
+    #: ``bench/workloads.py`` reads it; the next benchmark change drops the read.
     prepass_decided: int = 0
-    #: Of the decided checks, how many the pre-pass *admitted* (with a
-    #: constructed witness) rather than denied.
-    prepass_admitted: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     wall_seconds: float = 0.0
     workers: int = 1
     model_seconds: dict[str, float] = field(default_factory=dict)
-    #: Wall time per engine phase ("prepass" — the static DENY battery,
-    #: "check" — the decision procedure itself), summed across workers;
-    #: the aggregation of the per-check profiles of :mod:`repro.obs`.
+    #: Wall time per engine phase (only "check", the decision procedure),
+    #: summed across workers.  ``bench/workloads.py`` reads it; the next
+    #: benchmark change drops the read.
     phase_seconds: dict[str, float] = field(default_factory=dict)
 
     # -- accumulation ----------------------------------------------------------
@@ -56,8 +55,6 @@ class EngineMetrics:
         self.histories += partial.get("histories", 0)
         self.checks += partial.get("checks", 0)
         self.skipped += partial.get("skipped", 0)
-        self.prepass_decided += partial.get("prepass_decided", 0)
-        self.prepass_admitted += partial.get("prepass_admitted", 0)
         self.cache_hits += partial.get("cache_hits", 0)
         self.cache_misses += partial.get("cache_misses", 0)
         for model, seconds in partial.get("model_seconds", {}).items():
@@ -89,8 +86,6 @@ class EngineMetrics:
             "histories": self.histories,
             "checks": self.checks,
             "skipped": self.skipped,
-            "prepass_decided": self.prepass_decided,
-            "prepass_admitted": self.prepass_admitted,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "cache_hit_rate": round(self.cache_hit_rate, 4),
@@ -116,12 +111,6 @@ class EngineMetrics:
             f"cache hit rate: {self.cache_hit_rate:.1%} "
             f"(hits={self.cache_hits}, misses={self.cache_misses})",
         ]
-        if self.prepass_decided:
-            lines.append(
-                f"static pre-pass: {self.prepass_decided}/{self.checks} "
-                "checks decided without search "
-                f"({self.prepass_admitted} admitted with a witness)"
-            )
         if self.phase_seconds:
             parts = ", ".join(
                 f"{phase}={seconds:.3f}s"

@@ -9,7 +9,8 @@ for any worker count.
 
 Histories cross the process boundary in the versioned wire format of
 :mod:`repro.core.serialization` rather than as pickled objects, keeping the
-protocol stable and start-method agnostic (fork and spawn both work).
+protocol stable and start-method agnostic (fork and spawn both work).  The
+in-process path (``jobs=1``) hands the history objects over as they are.
 
 Every ``jobs > 1`` run starts its own pool and tears it down when the run
 ends; nothing outlives a run, so an engine needs no closing.
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from repro.checking.models import MODELS, check, model_names
+from repro.checking.models import check, model_names
 from repro.core.errors import EngineError
 from repro.core.history import SystemHistory
 from repro.core.serialization import history_from_dict, history_to_dict, view_to_dict
@@ -39,22 +40,21 @@ __all__ = ["CheckEngine", "SweepReport", "DEFAULT_CACHE_HISTORIES"]
 #: Per-worker bound on distinct histories held in the relation cache.
 DEFAULT_CACHE_HISTORIES = 256
 
-#: One unit of worker input: (key, history wire dict, model names).
-_Payload = tuple[str, dict, tuple[str, ...]]
+#: One unit of chunk-body input: (key, history, model names).
+_Payload = tuple[str, SystemHistory, tuple[str, ...]]
+#: The same unit on its way to a pool worker: the history as its wire dict.
+_WirePayload = tuple[str, dict, tuple[str, ...]]
 
 # Per-worker state, installed by the pool initializer (one per process).
 _WORKER_STATE: dict | None = None
 
 
 def _fresh_state(
-    cache_histories: int = DEFAULT_CACHE_HISTORIES,
-    store_views: bool = False,
-    prepass: bool = True,
+    cache_histories: int = DEFAULT_CACHE_HISTORIES, store_views: bool = False
 ) -> dict:
     return {
         "cache": RelationCache(max_histories=cache_histories),
         "store_views": store_views,
-        "prepass": prepass,
     }
 
 
@@ -71,34 +71,23 @@ def _warm_models() -> None:
         check(tiny, name)
 
 
-def _init_worker(cache_histories: int, store_views: bool, prepass: bool) -> None:
+def _init_worker(cache_histories: int, store_views: bool) -> None:
     global _WORKER_STATE
     # A worker forked from ``repro serve`` inherits its event loop's no-op
     # SIGTERM handler and would outlive the pool's terminate(), which then
     # waits on it forever; restore the default so teardown ends it.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     _warm_models()
-    _WORKER_STATE = _fresh_state(cache_histories, store_views, prepass)
+    _WORKER_STATE = _fresh_state(cache_histories, store_views)
 
 
 def _run_chunk_impl(chunk: Sequence[_Payload], state: dict) -> dict:
     """Check every payload of ``chunk``; returns records plus cache deltas."""
-    # Lazy import: the static layer sits above the kernel, and the engine
-    # only needs it when the pre-pass is enabled.
-    from repro.staticcheck.prepass import prepass_check
-
     cache: RelationCache = state["cache"]
     store_views: bool = state.get("store_views", False)
-    prepass: bool = state.get("prepass", True)
     hits0, misses0 = cache.hits, cache.misses
-    prepass_decided = 0
-    prepass_admitted = 0
-    # Per-phase wall time across the chunk: the static pre-pass vs the
-    # decision procedure itself (folded into EngineMetrics.phase_seconds).
-    phase_seconds: dict[str, float] = {}
     records: list[dict] = []
-    for key, history_dict, models in chunk:
-        history = history_from_dict(history_dict)
+    for key, history, models in chunk:
         verdicts: dict[str, bool] = {}
         explored: dict[str, int] = {}
         views: dict[str, list[dict]] = {}
@@ -106,37 +95,8 @@ def _run_chunk_impl(chunk: Sequence[_Payload], state: dict) -> dict:
         with relation_memo(cache):
             for model in models:
                 t0 = time.perf_counter()
-                spec = MODELS[model].spec if prepass else None
-                if spec is not None:
-                    verdict = prepass_check(spec, history)
-                    t1 = time.perf_counter()
-                    phase_seconds["prepass"] = (
-                        phase_seconds.get("prepass", 0.0) + t1 - t0
-                    )
-                    if verdict.decided:
-                        # Sound definite verdict (a necessary-condition
-                        # DENY or a constructed ADMIT witness): skip the
-                        # search entirely.
-                        verdicts[model] = verdict.allowed
-                        explored[model] = 0
-                        prepass_decided += 1
-                        if verdict.allowed:
-                            prepass_admitted += 1
-                            if store_views and verdict.witness is not None:
-                                views[model] = [
-                                    view_to_dict(verdict.witness.views[proc])
-                                    for proc in sorted(
-                                        verdict.witness.views, key=str
-                                    )
-                                ]
-                        model_seconds[model] = t1 - t0
-                        continue
-                else:
-                    t1 = t0
                 result = check(history, model)
-                t2 = time.perf_counter()
-                phase_seconds["check"] = phase_seconds.get("check", 0.0) + t2 - t1
-                model_seconds[model] = t2 - t0
+                model_seconds[model] = time.perf_counter() - t0
                 verdicts[model] = result.allowed
                 explored[model] = result.explored
                 if store_views and result.views:
@@ -157,15 +117,17 @@ def _run_chunk_impl(chunk: Sequence[_Payload], state: dict) -> dict:
         "records": records,
         "cache_hits": cache.hits - hits0,
         "cache_misses": cache.misses - misses0,
-        "prepass_decided": prepass_decided,
-        "prepass_admitted": prepass_admitted,
-        "phase_seconds": phase_seconds,
     }
 
 
-def _run_chunk(chunk: Sequence[_Payload]) -> dict:
+def _parsed(chunk: Sequence[_WirePayload]) -> list[_Payload]:
+    """A pool chunk with its wire-format histories parsed back."""
+    return [(key, history_from_dict(wire), models) for key, wire, models in chunk]
+
+
+def _run_chunk(chunk: Sequence[_WirePayload]) -> dict:
     assert _WORKER_STATE is not None, "worker used before initialisation"
-    return _run_chunk_impl(chunk, _WORKER_STATE)
+    return _run_chunk_impl(_parsed(chunk), _WORKER_STATE)
 
 
 def _run_panel_chunk_impl(chunk: Sequence[_Payload], state: dict) -> list[dict]:
@@ -181,15 +143,14 @@ def _run_panel_chunk_impl(chunk: Sequence[_Payload], state: dict) -> list[dict]:
     cache: RelationCache = state["cache"]
     panels: list[dict] = []
     with relation_memo(cache):
-        for _key, history_dict, models in chunk:
-            history = history_from_dict(history_dict)
+        for _key, history, models in chunk:
             panels.append(panel_verdicts(history, models))
     return panels
 
 
-def _run_panel_chunk(chunk: Sequence[_Payload]) -> list[dict]:
+def _run_panel_chunk(chunk: Sequence[_WirePayload]) -> list[dict]:
     assert _WORKER_STATE is not None, "worker used before initialisation"
-    return _run_panel_chunk_impl(chunk, _WORKER_STATE)
+    return _run_panel_chunk_impl(_parsed(chunk), _WORKER_STATE)
 
 
 @dataclass
@@ -219,7 +180,9 @@ class CheckEngine:
     ----------
     jobs:
         Worker count; ``1`` runs everything in-process (no pool, no
-        serialization round-trip) with identical results.
+        serialization round-trip) with identical results.  Every check
+        goes through :func:`repro.checking.check`, the registry's one
+        decision procedure per model.
     chunk_size:
         Payloads per dispatch unit; default sizes chunks so each worker
         sees several chunks (load balance without dispatch overhead).
@@ -229,12 +192,6 @@ class CheckEngine:
         Also record witness views (wire-format, per model) in result
         records, so positive verdicts keep their evidence; off by default
         because views dominate record size on large sweeps.
-    prepass:
-        Run the polynomial static pre-pass
-        (:mod:`repro.staticcheck.prepass`) before each spec-backed check
-        and skip the search on a definite DENY.  Sound — verdicts are
-        identical with it on or off — so it defaults on; disable to
-        benchmark the raw kernel (``sweep --no-prepass``).
     """
 
     def __init__(
@@ -243,7 +200,6 @@ class CheckEngine:
         chunk_size: int | None = None,
         cache_histories: int = DEFAULT_CACHE_HISTORIES,
         store_views: bool = False,
-        prepass: bool = True,
     ) -> None:
         if jobs < 1:
             raise EngineError(f"jobs must be >= 1, got {jobs}")
@@ -253,7 +209,6 @@ class CheckEngine:
         self.chunk_size = chunk_size
         self.cache_histories = cache_histories
         self.store_views = store_views
-        self.prepass = prepass
         self._local_state: dict | None = None
 
     # -- serial cached checking (the in-process fast path) ----------------------
@@ -274,18 +229,8 @@ class CheckEngine:
         order relations are derived once and shared across the models.
         """
         names = tuple(models) if models is not None else model_names()
-        from repro.staticcheck.prepass import prepass_check
-
-        verdicts: dict[str, bool] = {}
         with relation_memo(self.cache):
-            for name in names:
-                spec = MODELS[name].spec if self.prepass else None
-                verdict = prepass_check(spec, history) if spec is not None else None
-                if verdict is not None and verdict.decided:
-                    verdicts[name] = verdict.allowed
-                else:
-                    verdicts[name] = check(history, name).allowed
-        return verdicts
+            return {name: check(history, name).allowed for name in names}
 
     def map_classify(
         self, histories: Iterable[SystemHistory], models: Sequence[str]
@@ -297,7 +242,7 @@ class CheckEngine:
         """
         names = tuple(models)
         payloads: list[_Payload] = [
-            (f"{i:06d}", history_to_dict(h), names) for i, h in enumerate(histories)
+            (f"{i:06d}", h, names) for i, h in enumerate(histories)
         ]
         rows: list[dict[str, bool]] = []
         for out in self._execute(self._chunks(payloads)):
@@ -317,7 +262,7 @@ class CheckEngine:
         """
         names = tuple(models)
         payloads: list[_Payload] = [
-            (f"{i:06d}", history_to_dict(h), names) for i, h in enumerate(histories)
+            (f"{i:06d}", h, names) for i, h in enumerate(histories)
         ]
         panels: list[dict] = []
         for out in self._execute(
@@ -359,20 +304,15 @@ class CheckEngine:
                 }
             )
 
-        payloads: list[_Payload] = [
-            (job.key, history_to_dict(job.history), job.models) for job in todo
-        ]
+        payloads: list[_Payload] = [(job.key, job.history, job.models) for job in todo]
         results: list[dict] = []
         for out in self._execute(self._chunks(payloads)):
             metrics.cache_hits += out["cache_hits"]
             metrics.cache_misses += out["cache_misses"]
-            metrics.prepass_decided += out.get("prepass_decided", 0)
-            metrics.prepass_admitted += out.get("prepass_admitted", 0)
-            for phase, seconds in out.get("phase_seconds", {}).items():
-                metrics.add_phase_time(phase, seconds)
             for record in out["records"]:
                 for model, seconds in record.pop("model_seconds").items():
                     metrics.add_model_time(model, seconds)
+                    metrics.add_phase_time("check", seconds)
                 metrics.histories += 1
                 metrics.checks += len(record["models"])
                 if store is not None:
@@ -425,6 +365,8 @@ class CheckEngine:
         ``worker`` its module-level pool twin (picklable, reading the
         per-process state installed by the initializer).  Both defaults are
         the sweep body; :meth:`map_panel` passes the oracle-panel pair.
+        Only the pool branch serializes: each history crosses to the
+        workers as its wire dict, and ``worker`` parses it back.
         """
         if not chunks:
             return
@@ -432,10 +374,9 @@ class CheckEngine:
             state = (
                 self._local_state
                 if self._local_state is not None
-                else _fresh_state(self.cache_histories, self.store_views, self.prepass)
+                else _fresh_state(self.cache_histories, self.store_views)
             )
             state["store_views"] = self.store_views
-            state["prepass"] = self.prepass
             self._local_state = state
             for chunk in chunks:
                 yield impl(chunk, state)
@@ -444,6 +385,10 @@ class CheckEngine:
         with ctx.Pool(
             processes=self.jobs,
             initializer=_init_worker,
-            initargs=(self.cache_histories, self.store_views, self.prepass),
+            initargs=(self.cache_histories, self.store_views),
         ) as pool:
-            yield from pool.imap(worker, chunks)
+            wire_chunks = (
+                [(key, history_to_dict(h), models) for key, h, models in chunk]
+                for chunk in chunks
+            )
+            yield from pool.imap(worker, wire_chunks)

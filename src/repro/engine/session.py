@@ -86,9 +86,9 @@ class EngineSession:
     history:
         Optional seed prefix; its verdict is computed eagerly so the
         first streamed append already has a predecessor to extend.
-    budget, prepass:
+    budget:
         Forwarded to every check, exactly as ``check_with_spec`` takes
-        them — verdict fidelity to the one-shot kernel is per-argument.
+        it — verdict fidelity to the one-shot kernel is per-argument.
     """
 
     def __init__(
@@ -97,14 +97,12 @@ class EngineSession:
         *,
         history: SystemHistory | None = None,
         budget: SearchBudget | None = None,
-        prepass: bool = False,
     ) -> None:
         try:
             names = resolve_models(models, spec_only=True)
         except CheckerError as exc:
             raise EngineError(str(exc)) from exc
         self.models = names
-        self.prepass = prepass
         self.stream = HistoryStream(history)
         # The session's relation memo: po/ppo/rf/wb of the *current*
         # prefix, shared across the model set of one append.  Two tables
@@ -115,7 +113,6 @@ class EngineSession:
                 MODELS[name].spec,  # type: ignore[arg-type]  # validated above
                 self.stream,
                 budget=budget,
-                prepass=prepass,
             )
             for name in names
         }

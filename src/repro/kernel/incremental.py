@@ -289,7 +289,7 @@ class IncrementalCheck:
 
     Every verdict is byte-identical to a fresh
     :func:`~repro.kernel.search.check_with_spec` of the same prefix with
-    the same ``budget`` and ``prepass`` arguments.
+    the same ``budget``.
     """
 
     def __init__(
@@ -298,12 +298,10 @@ class IncrementalCheck:
         stream: HistoryStream | None = None,
         *,
         budget: SearchBudget | None = None,
-        prepass: bool = False,
     ) -> None:
         self.spec = spec
         self.stream = stream if stream is not None else HistoryStream()
         self.budget = budget
-        self.prepass = prepass
         #: Verdicts per prefix, in append order.
         self.results: list[CheckResult] = []
         # Failure memory is sound only when the labeled-extras loop is the
@@ -375,7 +373,6 @@ class IncrementalCheck:
                 self.spec,
                 self.stream.history,
                 self.budget,
-                prepass=self.prepass,
                 reuse=memory,
             )
         except CheckerError:
@@ -395,22 +392,9 @@ class IncrementalCheck:
     def _fast_path(self) -> CheckResult | None:
         """A verdict without entering the driver, or ``None`` to run it.
 
-        With ``prepass`` on, the driver's first act is the static
-        pre-pass, so running it here and returning its decided verdict is
-        byte-identical to the driver — and skips the plane compile the
-        driver would pay before discovering the pre-pass decides.  The
-        remaining shortcuts replicate driver behaviour past the pre-pass
-        and are sound only when it is off (a decided pre-pass would have
-        returned a differently-shaped result than they produce).
+        Each shortcut returns what the driver would, byte for byte, and
+        reports the check as reuse rather than as a full-search fallback.
         """
-        if self.prepass:
-            from repro.staticcheck.prepass import prepass_check
-
-            verdict = prepass_check(self.spec, self.stream.history)
-            if verdict.decided:
-                self._emit_reuse(0, 0, fallback=False)
-                return verdict.to_result()
-            return None
         plane = self.stream.plane
         # An impossible read poisons every extension; re-deny the way the
         # driver does, straight off the grafted candidate table.

@@ -309,7 +309,6 @@ def check_with_spec(
     history: SystemHistory,
     budget: SearchBudget | None = None,
     *,
-    prepass: bool = False,
     trace: TraceSink | None = None,
     reuse: Any | None = None,
 ) -> CheckResult:
@@ -320,16 +319,6 @@ def check_with_spec(
     over the compiled constraint plane (layer 3), searching each
     processor's view (this layer) until some combination yields legal
     views for every processor.
-
-    With ``prepass=True``, the polynomial static pre-pass
-    (:mod:`repro.staticcheck.prepass`) runs first and short-circuits the
-    search on a definite verdict — a necessary-condition DENY or an
-    ADMIT whose witness the pre-pass constructed outright.  The
-    ``allowed`` bit is unchanged either way (the pre-pass is sound in
-    both directions; a short-circuited result carries ``explored=0`` and
-    the pre-pass's own witness).  The default is off so the kernel
-    surface stays byte-comparable to the frozen legacy solver, and the
-    engine opts in on top.
 
     With ``trace`` set (or a sink installed via
     :func:`repro.obs.sink.tracing`), the check narrates its search as
@@ -344,14 +333,10 @@ def check_with_spec(
     """
     if trace is not None:
         with tracing(trace):
-            return _check_with_spec_impl(
-                spec, history, budget, prepass, trace, reuse
-            )
+            return _check_with_spec_impl(spec, history, budget, trace, reuse)
     # Read the module global directly: this is the gate on the untraced
     # hot path, and an attribute load is cheaper than a function call.
-    return _check_with_spec_impl(
-        spec, history, budget, prepass, _sink_state._ACTIVE, reuse
-    )
+    return _check_with_spec_impl(spec, history, budget, _sink_state._ACTIVE, reuse)
 
 
 def _render_rf(rf: ReadsFrom) -> tuple[tuple[str, str], ...]:
@@ -366,7 +351,6 @@ def _check_with_spec_impl(
     spec,
     history: SystemHistory,
     budget: SearchBudget | None,
-    prepass: bool,
     sink: TraceSink | None,
     reuse: Any | None = None,
 ) -> CheckResult:
@@ -379,38 +363,6 @@ def _check_with_spec_impl(
                 processors=len(history.procs),
             )
         )
-
-    if prepass:
-        # Imported lazily: repro.staticcheck imports kernel modules, so a
-        # top-level import here would be circular.
-        from repro.staticcheck.prepass import prepass_check
-
-        if sink is not None:
-            sink.emit(PhaseMark(phase="prepass", mark="start"))
-        verdict = prepass_check(spec, history)
-        if sink is not None:
-            sink.emit(PhaseMark(phase="prepass", mark="end"))
-        if verdict.decided:
-            result = verdict.to_result()
-            if sink is not None:
-                # Narrate the pre-pass's witness the way the search would:
-                # the views exist and are part of the returned result.
-                for proc, view in result.views.items():
-                    sink.emit(
-                        ViewSolved(
-                            proc=str(proc),
-                            order=tuple(str(op) for op in view),
-                        )
-                    )
-                sink.emit(
-                    VerdictReached(
-                        model=spec.name,
-                        allowed=result.allowed,
-                        explored=0,
-                        reason=result.reason,
-                    )
-                )
-            return result
 
     # Derive the candidate-source table once (shared across the specs a
     # sweep checks this history against); every layer below receives it.

@@ -107,9 +107,9 @@ def forced_block_orders(
     processor's own writes within the block, plus — under an unambiguous
     ``reads_from`` — the per-location coherence edges it forces (every
     location lies wholly inside one block).  Every admissible agreed
-    block order extends its block's relation, so this is the shared
-    pruning seed of the kernel's Partition enumeration and the static
-    pre-pass, exactly as :func:`forced_write_order` is for TSO.
+    block order extends its block's relation, so this is the pruning
+    seed of the kernel's Partition enumeration, exactly as
+    :func:`forced_write_order` is for TSO.
     """
     block = partition_block_map(history, blocks)
     by_block: list[list[Operation]] = [[] for _ in range(blocks)]

@@ -182,7 +182,6 @@ def classify_histories(
     histories: Iterable[SystemHistory],
     models: Sequence[str],
     engine: "CheckEngine | None" = None,
-    prepass: bool = True,
 ) -> ClassificationResult:
     """Run every named model's checker over every history.
 
@@ -190,11 +189,6 @@ def classify_histories(
     :meth:`repro.engine.CheckEngine.map_classify` instead of direct
     :func:`check` calls — relation-cached, and parallel when the engine has
     ``jobs > 1``.  The results are identical either way.
-
-    ``prepass`` (serial path; the engine path is governed by the engine's
-    own flag) runs the sound polynomial pre-pass before each search —
-    same verdicts either way, with decided checks (DENY or witnessed
-    ADMIT) skipping the search entirely.
     """
     hs = list(histories)
     result = ClassificationResult(tuple(models), hs)
@@ -205,9 +199,6 @@ def classify_histories(
                 i for i, row in enumerate(rows) if row[name]
             }
         return result
-    from repro.checking.models import MODELS
-    from repro.staticcheck.prepass import prepass_check
-
     # Serial path: history-major under a relation memo, so the order
     # relations and compiled constraint kernels are derived once per
     # history and shared by every model (the engine path gets the same
@@ -217,14 +208,6 @@ def classify_histories(
     with relation_memo():
         for i, h in enumerate(hs):
             for name in models:
-                spec = MODELS[name].spec if prepass else None
-                if spec is not None:
-                    verdict = prepass_check(spec, h)
-                    if verdict.decided:
-                        # Sound in both directions: the polarity is final.
-                        if verdict.allowed:
-                            result.allowed[name].add(i)
-                        continue
                 if check(h, name).allowed:
                     result.allowed[name].add(i)
     return result

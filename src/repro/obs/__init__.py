@@ -1,7 +1,7 @@
 """Structured observability: tracing, profiling, and the docs pipeline.
 
 ``repro.obs`` is how the framework explains *how* it decided, not just
-what: the kernel, the static pre-pass and the engine emit typed
+what: the kernel, the static pre-pass and the sessions emit typed
 :mod:`~repro.obs.events` to an opt-in :mod:`~repro.obs.sink`, the
 :mod:`~repro.obs.render` module narrates a recorded stream, and
 :mod:`~repro.obs.profile` aggregates per-check phase timings.  The

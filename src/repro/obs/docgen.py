@@ -9,7 +9,7 @@ produced by this module from the live code:
   (:func:`cli_reference_markdown`), so the reference *cannot* drift from
   the parser: a CI check regenerates and compares.
 * ``trace-example`` (in ``docs/obs.md``) — a worked check narration of
-  the paper's Figure 1 history under TSO and SC (the static pre-pass
+  the paper's Figure 1 history under TSO and SC (the kernel search
   admits one and denies the other), rendered by the same
   :func:`~repro.obs.render.render_trace` the ``trace`` verb uses.  The
   kernel is deterministic and events carry no timestamps, so the block
@@ -169,7 +169,7 @@ def trace_example_markdown() -> str:
         spec = MODELS[model].spec
         assert spec is not None
         with tracing(RecordingSink()) as sink:
-            check_with_spec(spec, entry.history, prepass=True)
+            check_with_spec(spec, entry.history)
         parts.append(render_trace(sink.events, markdown=True, max_steps=60).rstrip())
         parts.append("")
     return "\n".join(parts).rstrip() + "\n"

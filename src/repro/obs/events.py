@@ -17,7 +17,7 @@ The emitting layers and what they say:
 event                     emitted by
 ========================  ====================================================
 :class:`CheckStarted`     ``check_with_spec`` on entry
-:class:`PhaseMark`        ``check_with_spec`` around prepass/compile/search
+:class:`PhaseMark`        ``check_with_spec`` around compile/search
 :class:`PrepassRule`      each necessary-condition rule of the static pre-pass
 :class:`AttributionTried` layer 1, once per reads-from attribution
 :class:`CandidateTried`   layer 2, once per mutual-consistency candidate
@@ -83,7 +83,7 @@ class CheckStarted(TraceEvent):
 class PhaseMark(TraceEvent):
     """A named phase of the check started or ended.
 
-    Phases are ``"prepass"``, ``"compile"`` and ``"search"``; timing
+    Phases are ``"compile"`` and ``"search"``; timing
     sinks pair the marks to measure per-phase wall time (the events
     themselves carry no timestamps, so recorded traces stay
     deterministic).

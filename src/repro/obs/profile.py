@@ -1,10 +1,10 @@
 """Per-check profiles and their aggregation into timing tables.
 
 A :class:`CheckProfile` is the observability record of *one* check: how
-long each kernel phase took (``prepass``, ``compile``, ``search``) and
-how often each search event fired (attributions, candidates, nodes,
-backtracks, …).  :func:`profile_check` produces one by running
-``check_with_spec`` under a :class:`~repro.obs.sink.TimingSink`.
+long each kernel phase took (``compile``, ``search``) and how often each
+search event fired (attributions, candidates, nodes, backtracks, …).
+:func:`profile_check` produces one by running ``check_with_spec`` under
+a :class:`~repro.obs.sink.TimingSink`.
 
 A :class:`ProfileAggregate` folds many profiles into per-model tables —
 the engine merges the phase component into
@@ -27,7 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["CheckProfile", "ProfileAggregate", "profile_check", "PHASES"]
 
 #: The kernel phases a check is divided into, in execution order.
-PHASES: tuple[str, ...] = ("prepass", "compile", "search")
+PHASES: tuple[str, ...] = ("compile", "search")
 
 
 @dataclass
@@ -43,11 +43,11 @@ class CheckProfile:
     explored:
         Candidate serializations examined (the kernel's effort figure).
     phase_seconds:
-        Wall time per kernel phase (see :data:`PHASES`); phases that
-        never ran (no prepass, prepass-decided search) are absent.
+        Wall time per kernel phase (see :data:`PHASES`); a phase that
+        never ran (the search, after an impossible read) is absent.
     counters:
         Event counts per kind tag (``"node"``, ``"backtrack"``,
-        ``"attribution"``, ``"candidate"``, ``"prepass-rule"``, …).
+        ``"attribution"``, ``"candidate"``, …).
     """
 
     model: str
@@ -77,15 +77,11 @@ class CheckProfile:
 def profile_check(
     spec: Any,
     history: "SystemHistory",
-    *,
-    prepass: bool = True,
 ) -> tuple["CheckResult", CheckProfile]:
     """Run ``check_with_spec`` under a timing sink; the result plus profile.
 
     The verdict, witness and ``explored`` count are exactly what an
-    unprofiled call returns — profiling only observes.  ``prepass``
-    defaults on (matching the engine) so the profile shows where the
-    static layer saves searches.
+    unprofiled call returns — profiling only observes.
     """
     # Imported here, not at module top: the kernel imports repro.obs.sink,
     # so a top-level kernel import would be circular.
@@ -93,7 +89,7 @@ def profile_check(
 
     sink = TimingSink()
     with tracing(sink):
-        result = check_with_spec(spec, history, prepass=prepass)
+        result = check_with_spec(spec, history)
     profile = CheckProfile(
         model=spec.name,
         allowed=result.allowed,

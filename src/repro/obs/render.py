@@ -1,9 +1,9 @@
 """Render a recorded trace as a human-readable search narration.
 
 The renderer turns the event stream of one ``check_with_spec`` call into
-the story of the decision: which pre-pass rules ran, which reads-from
-attribution was fixed, which candidate serializations were proposed, how
-each view search placed and retracted operations, and the final verdict.
+the story of the decision: which reads-from attribution was fixed,
+which candidate serializations were proposed, how each view search
+placed and retracted operations, and the final verdict.
 
 Two output modes share one structure: plain ASCII (the default of
 ``python -m repro trace``) and markdown (``--markdown``), where the same
@@ -116,10 +116,8 @@ class _Renderer:
             else:
                 self.lines += [title, "=" * len(title)]
         elif isinstance(event, PhaseMark):
-            if event.mark == "start" and event.phase != "compile":
-                self.head(
-                    "Static pre-pass" if event.phase == "prepass" else "Search"
-                )
+            if event.mark == "start" and event.phase == "search":
+                self.head("Search")
         elif isinstance(event, PrepassRule):
             outcome = {
                 "deny": f"DENY — {event.detail}" if event.detail else "DENY",

@@ -131,9 +131,7 @@ class SessionStatsSink(CountingSink):
         #: Session checks that ran as full one-shot searches (no memory).
         self.fallbacks = 0
         #: Static pre-pass rule outcomes while installed, keyed
-        #: ``{"deny": n, "admit": n, "pass": n, "abstain": n}`` — the
-        #: service's ``/stats`` view of how often the polynomial battery
-        #: decided (in either direction) without a search.
+        #: ``{"deny": n, "pass": n, "abstain": n}``.
         self.prepass_outcomes: dict[str, int] = {}
 
     def emit(self, event: TraceEvent) -> None:
@@ -172,9 +170,10 @@ class SessionStatsSink(CountingSink):
     def prepass_counters(self) -> dict[str, int]:
         """Pre-pass rule outcomes as a plain dictionary (for ``/stats``).
 
-        ``denied``/``admitted`` count checks the static battery decided
-        outright; ``passed``/``abstained`` count rule runs that fell
-        through to the search.
+        ``denied`` counts checks the static battery decided outright;
+        ``passed``/``abstained`` count rule runs that decided nothing.
+        No rule admits any more: ``admitted`` stays because
+        ``bench/workloads.py`` reads it, until the next benchmark change.
         """
         return {
             "denied": self.prepass_outcomes.get("deny", 0),

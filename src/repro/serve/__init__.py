@@ -4,7 +4,7 @@ The ROADMAP's "consistency checking as a service" item, productionized:
 an asyncio HTTP front end over the engine substrate.  Clients submit
 histories or litmus text and get back exactly what the in-process API
 would have given them — verdict + witness JSON per model, byte-equal to
-:func:`repro.kernel.check_with_spec` — with every verdict landed in a
+:func:`repro.checking.check` — with every verdict landed in a
 result store (JSONL or the content-addressed SQLite backend) keyed by a
 content hash, so repeated submissions are served from the store instead
 of re-searched.

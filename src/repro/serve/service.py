@@ -26,9 +26,10 @@ bounded by :attr:`ServeConfig.max_sessions`; the per-session counters in
 :class:`~repro.obs.events.SessionAppend`/:class:`~repro.obs.events.PrefixReuse`
 trace events by a :class:`~repro.obs.sink.SessionStatsSink`.
 
-Verdict fidelity is the contract: a fresh check of a spec-backed model
-runs :func:`repro.kernel.check_with_spec` and serializes the result
-with :func:`repro.core.serialization.check_result_to_dict`, so the HTTP
+Verdict fidelity is the contract: a fresh check runs the model's one
+decision procedure, :meth:`repro.checking.models.MemoryModel.check`, and
+serializes the result with
+:func:`repro.core.serialization.check_result_to_dict`, so the HTTP
 response carries the *same* verdict + witness JSON the in-process API
 returns (the integration suite asserts this for every catalog × model
 pair).
@@ -60,7 +61,6 @@ from repro.engine import CheckEngine, SweepSpec, open_store
 from repro.engine.cache import RelationCache
 from repro.engine.session import EngineSession
 from repro.kernel.constraints import plane_cache_stats
-from repro.kernel.search import check_with_spec
 from repro.obs.sink import SessionStatsSink, tracing
 from repro.orders.memo import relation_memo
 
@@ -89,8 +89,6 @@ class ServeConfig:
     #: Store URL (see :func:`repro.engine.sqlstore.open_store`); ``None``
     #: serves from memory only.
     store_url: str | None = None
-    #: Run the static DENY pre-pass before searching (sound; same verdicts).
-    prepass: bool = True
     #: Worker processes for sweep jobs (1 = in the worker thread).
     sweep_jobs: int = 1
     #: Reject request bodies larger than this (HTTP 413).
@@ -306,14 +304,8 @@ class CheckService:
         explored: dict[str, int] = {}
         with relation_memo(self._cache()):
             for name in models:
-                model = MODELS[name]
                 t0 = time.perf_counter()
-                if model.spec is not None:
-                    result = check_with_spec(
-                        model.spec, history, prepass=self.config.prepass
-                    )
-                else:
-                    result = model.check(history)
+                result = MODELS[name].check(history)
                 seconds = time.perf_counter() - t0
                 results[name] = check_result_to_dict(result)
                 verdicts[name] = result.allowed
@@ -450,9 +442,7 @@ class CheckService:
             # interleave at record granularity.  The run lock only
             # serializes sweeps against each other.
             with self._sweep_run_lock:
-                engine = CheckEngine(
-                    jobs=self.config.sweep_jobs, prepass=self.config.prepass
-                )
+                engine = CheckEngine(jobs=self.config.sweep_jobs)
                 if self.store is not None:
                     report = engine.run(spec, store=self.store, resume=True)
                 else:
@@ -483,7 +473,7 @@ class CheckService:
             params = {}
         if not isinstance(params, dict):
             raise ServeError("POST /session takes a JSON object")
-        unknown = set(params) - {"models", "history", "prepass"}
+        unknown = set(params) - {"models", "history"}
         if unknown:
             raise ServeError(
                 f"unknown session parameter(s): {', '.join(sorted(unknown))}"
@@ -495,9 +485,8 @@ class CheckService:
         history = None
         if params.get("history") is not None:
             history = resolve_history(params["history"])
-        prepass = bool(params.get("prepass", self.config.prepass))
         try:
-            session = EngineSession(models, history=history, prepass=prepass)
+            session = EngineSession(models, history=history)
         except ReproError as exc:
             raise ServeError(str(exc)) from exc
         state = SessionState(
@@ -512,7 +501,6 @@ class CheckService:
         return {
             "session": state.id,
             "models": list(models),
-            "prepass": prepass,
             "operations": len(session.history.operations),
             "verdicts": session.verdicts(),
             "denying": list(session.denying()),
@@ -606,7 +594,6 @@ class CheckService:
             return {
                 "session": state.id,
                 "models": list(session.models),
-                "prepass": session.prepass,
                 "operations": len(session.history.operations),
                 "history": format_history(session.history),
                 "verdicts": session.verdicts(),
@@ -669,7 +656,8 @@ class CheckService:
             "uptime_seconds": round(time.time() - self.started, 3),
             "workers": self.config.workers,
             "plane_cache": plane_cache_stats(),
-            "prepass": self.config.prepass,
+            # Always zero now that no check runs the prepass; kept because
+            # bench/workloads.py reads it, until the next benchmark change.
             "prepass_rules": self._sink.prepass_counters(),
             "counters": counters,
             "verdicts": verdicts,

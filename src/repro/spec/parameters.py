@@ -46,7 +46,6 @@ __all__ = [
     "session_rule",
     "partition_rule",
     "partition_block_map",
-    "rule_by_name",
 ]
 
 
@@ -302,32 +301,3 @@ def partition_rule(blocks: int) -> OrderingRule:
     if blocks < 1:
         raise ValueError(f"partition needs at least one block, got {blocks}")
     return OrderingRule(f"po-block({blocks})", partial(_build_po_block, blocks))
-
-
-_BASE_RULES = {
-    rule.name: rule for rule in (PO, PO_SYNC, PO_LOC, PPO, CAUSAL, SEMI_CAUSAL)
-}
-
-
-def rule_by_name(name: str) -> OrderingRule | None:
-    """Resolve an ordering rule from its stable name, or ``None``.
-
-    Covers the module singletons plus every factory-made session and
-    partition rule.  The factories cache, so the resolved object is
-    identical to the one specs hold and may key caches on rule identity.
-    """
-    base = _BASE_RULES.get(name)
-    if base is not None:
-        return base
-    if name.startswith("session(") and name.endswith(")"):
-        parts = tuple(name[len("session("):-1].split("+"))
-        try:
-            return session_rule(*parts)
-        except ValueError:
-            return None
-    if name.startswith("po-block(") and name.endswith(")"):
-        try:
-            return partition_rule(int(name[len("po-block("):-1]))
-        except ValueError:
-            return None
-    return None

@@ -1,14 +1,12 @@
 """repro.staticcheck — the static analysis layer in front of the kernel.
 
-Five coordinated analyzers, all polynomial-time except the bounded
-agreement enumeration, all *without* running the kernel's full
-linear-extension search or executing a program:
+Five coordinated analyzers, all polynomial-time, all *without* running
+the kernel's full linear-extension search or executing a program:
 
-* :mod:`repro.staticcheck.prepass` — per-spec checks on histories.  Sound
-  in both directions: necessary-condition rules decide DENY, and the
-  bounded agreement-exhausted rule decides ADMIT with a witness view;
-  UNKNOWN falls through to the kernel.  The engine runs it as an opt-out
-  fast path in front of every spec-backed checker.
+* :mod:`repro.staticcheck.prepass` — per-spec necessary-condition checks
+  on histories: a sound DENY with a counterexample, or UNKNOWN.  It backs
+  ``repro lint history`` and the fuzzer's soundness oracle; no check path
+  runs it.
 * :mod:`repro.staticcheck.speclint` — validation of
   :class:`~repro.spec.model_spec.MemoryModelSpec` parameter triples, plus
   small-history probing that flags specs indistinguishable from (or

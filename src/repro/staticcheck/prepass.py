@@ -1,8 +1,8 @@
-"""Polynomial pre-pass verdicts: definite DENY *or* ADMIT-with-witness.
+"""Polynomial pre-pass verdicts: a definite DENY, or UNKNOWN.
 
 The kernel decides admissibility by searching for legal linear extensions —
-NP-hard in general.  But many verdicts follow from polynomial graph
-analysis.  On the DENY side, *necessary* conditions:
+NP-hard in general.  Some denials follow from polynomial graph analysis of
+*necessary* conditions:
 
 * **rf-sanity** — a read observing a value no write stores (and which is
   not the initial value) is illegal in every view under every model;
@@ -13,27 +13,14 @@ analysis.  On the DENY side, *necessary* conditions:
 * **view-cycle** — each processor's view must be a linear extension of the
   spec's ordering (restricted to the view), the reads-from legality edges,
   the bracketing edges, and the forced write-order edges; a cycle in that
-  per-view constraint graph rules out every legal view;
-* **agreement-exhausted** — every admissible agreed write order extends
-  the *forced* write-order edges, and on litmus-scale histories the forced
-  order typically leaves only a handful of linear extensions.  The rule
-  enumerates them all (hard-capped), pins each candidate's exact legality
-  edges, and concludes: some candidate builds legal views → ADMIT with
-  that witness; *every* candidate forces a cyclic view graph → DENY,
-  because the candidates are exhaustive.  Past the cap, or on any
-  non-decisive failure, it abstains.
+  per-view constraint graph rules out every legal view.
 
-On the ADMIT side, a *sufficient* construction:
-
-* **admit-witness** — under a unique reads-from attribution, commit to one
-  agreed object (a deterministic topological extension of the forced write
-  order, shared by every view) and inject, per view, exactly the edges that
-  make legality automatic: each read after its source write and before the
-  agreed order's next same-location write.  Any topological order of the
-  resulting graph is then a legal view that embeds the agreed object and
-  the spec's ordering — a complete, machine-checkable witness.  Whenever a
-  graph is cyclic, or any precondition fails, the rule abstains (UNKNOWN);
-  it never guesses.
+No check path runs these rules: every verdict the checker returns comes
+from :func:`repro.checking.check` (EXPERIMENTS.md E22 measured each rule
+against the search it would save; end to end the search alone is
+faster).  They serve
+``python -m repro lint history``, which explains a denial without a
+search, and the differential fuzzer's ``prepass_deny`` soundness oracle.
 
 A :class:`HistoryPrepass` is compiled once per
 :class:`~repro.spec.model_spec.MemoryModelSpec` and then applied to many
@@ -43,48 +30,35 @@ are shared across the specs a sweep checks each history against.
 
 Soundness contract
 ------------------
-The pre-pass returns a **definite DENY**, a **definite ADMIT carrying a
-witness**, or **UNKNOWN**.  A DENY is sound because every edge placed in a
-graph is *forced*: it holds in every legal view of every admissible
-execution under the spec.  Conservative under-approximations keep that
-true:
+The pre-pass returns a **definite DENY** or **UNKNOWN**.  A DENY is sound
+because every edge placed in a graph is *forced*: it holds in every legal
+view of every admissible execution under the spec.  Conservative
+under-approximations keep that true:
 
 * with an ambiguous reads-from attribution the pre-pass returns UNKNOWN
   (except for rf-sanity, which is attribution-independent), because
   legality edges are only forced once the attribution is fixed;
 * for orderings that need a coherence order (semi-causality), the partial
   program order ``->ppo`` — a subset of every semi-causal relation — stands
-  in for the real ordering on the DENY side (the ADMIT side rebuilds the
-  real ordering from the agreed coherence order it chose);
+  in for the real ordering;
 * for specs whose ordering binds own views only (release consistency),
   ordering edges are applied only between a processor's own operations in
   its own view, mirroring the kernel's ``restrict_to_own``.
-
-An ADMIT is sound because the witness is *verified by construction*: the
-emitted views are legal sequences (checked), contain the spec's required
-operation sets, are linear extensions of the spec's ordering and of one
-shared agreed object, so the spec's existential is exhibited rather than
-approximated.  The rule abstains for labeled-discipline specs whenever the
-history has labeled operations (their extra serializations are the
-NP-hard part the pre-pass must not guess at).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, product
-from typing import Any, cast
+from typing import cast
 
 from repro.core.history import SystemHistory
 from repro.core.operation import Operation
-from repro.core.view import View, first_legality_violation
 from repro.kernel.constraints import bracketing_edges
-from repro.kernel.results import CheckResult, Counterexample, Witness
+from repro.kernel.results import CheckResult, Counterexample
 from repro.kernel.rf import impossible_read
 from repro.obs.events import PrepassRule
 from repro.obs.sink import TraceSink, active_sink
-from repro.orders.coherence import forced_coherence_pairs
 from repro.orders.program_order import ppo_relation
 from repro.orders.relation import Relation
 from repro.orders.writes_before import (
@@ -112,67 +86,32 @@ _COHERENCE_CLASS = (
 #: Classes whose agreement spans *all* writes, not only same-location ones.
 _TOTAL_CLASS = (MutualConsistency.TOTAL_WRITE_ORDER, MutualConsistency.IDENTICAL)
 
-#: Hard cap on the agreed-order candidates the exhaustive rule enumerates
-#: (per level: global candidates, and per-view orders when no agreement
-#: binds them).  Past the cap the rule abstains — the search's pruned
-#: enumeration is the better tool for large choice spaces.
-_MAX_AGREED_CANDIDATES = 24
-
-#: One agreed-order choice: the per-location coherence mapping it induces
-#: (``None`` when the spec's views agree on nothing) and the chains every
-#: view must embed.
-_Candidate = tuple[
-    "dict[str, tuple[Operation, ...]] | None",
-    "tuple[tuple[Operation, ...], ...]",
-]
-
-
-def _bounded_sorts(
-    rel: Relation[Operation], cap: int
-) -> tuple[list[list[Operation]], bool]:
-    """Up to ``cap`` linear extensions, plus whether that was all of them."""
-    out = list(islice(rel.all_topological_sorts(), cap + 1))
-    if len(out) > cap:
-        return out[:cap], False
-    return out, True
-
 
 @dataclass(frozen=True)
 class PrepassVerdict:
-    """The outcome of the pre-pass: a definite DENY or ADMIT, or UNKNOWN.
+    """The outcome of the pre-pass: a definite DENY, or UNKNOWN.
 
     Attributes
     ----------
     model:
         The spec the verdict is about.
     decided:
-        ``True`` for a definite verdict in either direction.
-    allowed:
-        The verdict's polarity when decided: ``True`` means the
-        ``admit-witness`` rule constructed legal views (see
-        :attr:`witness`), ``False`` a necessary condition failed.
+        ``True`` for a definite DENY.
     check:
-        The rule that decided (``"rf-sanity"``, ``"write-order-cycle"``,
-        ``"view-cycle"`` or ``"admit-witness"``); empty when undecided.
+        The rule that denied (``"rf-sanity"``, ``"write-order-cycle"`` or
+        ``"view-cycle"``); empty when undecided.
     counterexample:
-        For decided DENYs: the structured reason, in the same
+        For decided verdicts: the structured reason, in the same
         :class:`~repro.kernel.results.Counterexample` shape ``repro
         explain`` renders.
-    witness:
-        For decided ADMITs: the constructed legal views plus the
-        reads-from attribution and agreed coherence order they embed —
-        the same :class:`~repro.kernel.results.Witness` shape the search
-        returns, so callers can re-verify the claim mechanically.
     checks_run:
         Which rules were evaluated (for metrics and tests).
     """
 
     model: str
     decided: bool
-    allowed: bool = False
     check: str = ""
     counterexample: Counterexample | None = None
-    witness: Witness | None = None
     checks_run: tuple[str, ...] = ()
 
     @property
@@ -181,21 +120,13 @@ class PrepassVerdict:
         return self.counterexample.detail if self.counterexample else ""
 
     def to_result(self) -> CheckResult:
-        """The decided verdict as a kernel :class:`CheckResult`.
+        """The decided DENY as a kernel :class:`CheckResult`.
 
         Only meaningful when :attr:`decided` is set; the result carries
-        ``explored=0`` — the search was never invoked.
+        ``explored=0`` — no search ran.
         """
         if not self.decided:
             raise ValueError(f"{self.model}: undecided pre-pass has no result")
-        if self.allowed:
-            assert self.witness is not None  # decided admits always carry one
-            return CheckResult(
-                self.model,
-                True,
-                views=dict(self.witness.views),
-                witness=self.witness,
-            )
         return CheckResult(
             self.model,
             False,
@@ -221,8 +152,6 @@ class HistoryPrepass:
         if self.coherence_class:
             checks.append("write-order-cycle")
         checks.append("view-cycle")
-        checks.append("admit-witness")
-        checks.append("agreement-exhausted")
         #: The rules this spec compiles to, in run order.
         self.checks: tuple[str, ...] = tuple(checks)
 
@@ -238,7 +167,7 @@ class HistoryPrepass:
             )
 
     def check(self, history: SystemHistory) -> PrepassVerdict:
-        """A definite DENY or ADMIT-with-witness, or UNKNOWN — never a guess."""
+        """A definite DENY, or UNKNOWN — never a guess."""
         spec = self.spec
         sink = active_sink()
         candidates = reads_from_candidates(history)
@@ -299,51 +228,6 @@ class HistoryPrepass:
                 checks_run=tuple(run),
             )
         self._rule_event(sink, "view-cycle", "pass")
-        run.append("admit-witness")
-        witness = self._admit_witness(history, rf)
-        if witness is not None:
-            self._rule_event(
-                sink,
-                "admit-witness",
-                "admit",
-                "constructed a legal topological witness per view",
-            )
-            return PrepassVerdict(
-                spec.name,
-                True,
-                allowed=True,
-                check="admit-witness",
-                witness=witness,
-                checks_run=tuple(run),
-            )
-        self._rule_event(sink, "admit-witness", "abstain")
-        run.append("agreement-exhausted")
-        outcome = self._exhaust_agreements(history, rf)
-        if isinstance(outcome, Witness):
-            self._rule_event(
-                sink,
-                "agreement-exhausted",
-                "admit",
-                "an enumerated agreed write order builds legal views",
-            )
-            return PrepassVerdict(
-                spec.name,
-                True,
-                allowed=True,
-                check="agreement-exhausted",
-                witness=outcome,
-                checks_run=tuple(run),
-            )
-        if outcome is not None:
-            self._rule_event(sink, "agreement-exhausted", "deny", outcome.detail)
-            return PrepassVerdict(
-                spec.name,
-                True,
-                check="agreement-exhausted",
-                counterexample=outcome,
-                checks_run=tuple(run),
-            )
-        self._rule_event(sink, "agreement-exhausted", "abstain")
         return PrepassVerdict(spec.name, False, checks_run=tuple(run))
 
     # -- pieces ------------------------------------------------------------------
@@ -487,545 +371,6 @@ class HistoryPrepass:
                     cycle=tuple(cycle),
                 )
         return None
-
-    # -- the ADMIT side ----------------------------------------------------------
-
-    def _admit_witness(self, history: SystemHistory, rf: ReadsFrom) -> Witness | None:
-        """A complete witness constructed greedily, or ``None`` to abstain.
-
-        The construction commits to *one* agreed object — a deterministic
-        topological extension of the forced write order (per location for
-        coherence agreement, global for total-write-order agreement, over
-        the labeled operations for hybrid consistency) — and then builds
-        each view's constraint graph from the spec's ordering, the agreed
-        chains, the bracketing edges, and *exact* legality pins: a read
-        goes after its source write and before the next same-location
-        write of the agreed order (an initial-value read before every
-        same-location write).  Any topological order of that graph makes
-        every read observe precisely its attributed source, so the views
-        are legal, mutually consistent and ordering-respecting by
-        construction.  Every failure — a cycle, a missing source, labeled
-        operations under a labeled discipline — abstains; the rule never
-        guesses.
-        """
-        spec = self.spec
-        if spec.labeled_discipline is not None and history.labeled_ops:
-            # The labeled serializations are the NP-hard part (legal SC
-            # orders / semi-causality of the labeled sub-history); leave
-            # those histories to the search.
-            return None
-        coherence: dict[str, tuple[Operation, ...]] | None = None
-        chains: tuple[tuple[Operation, ...], ...] = ()
-        mc = spec.mutual_consistency
-        if mc is MutualConsistency.TOTAL_WRITE_ORDER:
-            from repro.kernel.serializations import forced_write_order
-
-            forced = forced_write_order(history, rf)
-            try:
-                order = forced.topological_sort()
-            except ValueError:
-                return None
-            chains = (tuple(order),)
-            coherence = {}
-            for w in order:
-                coherence[w.location] = coherence.get(w.location, ()) + (w,)
-        elif mc is MutualConsistency.COHERENCE:
-            coherence = {}
-            for loc in history.locations:
-                pairs = forced_coherence_pairs(history, loc, rf)
-                if not pairs.items:
-                    continue
-                try:
-                    coherence[loc] = tuple(pairs.topological_sort())
-                except ValueError:
-                    return None
-            chains = tuple(coherence.values())
-        elif mc is MutualConsistency.PARTITION:
-            from repro.kernel.serializations import forced_block_orders
-
-            assert spec.partition_blocks is not None  # spec validation
-            coherence = {}
-            block_chains: list[tuple[Operation, ...]] = []
-            for forced_b in forced_block_orders(
-                history, spec.partition_blocks, rf
-            ):
-                try:
-                    order = forced_b.topological_sort()
-                except ValueError:
-                    return None
-                if order:
-                    block_chains.append(tuple(order))
-                for w in order:
-                    coherence[w.location] = coherence.get(w.location, ()) + (w,)
-            chains = tuple(block_chains)
-        elif mc is MutualConsistency.LABELED_TOTAL_ORDER:
-            labeled = history.labeled_ops
-            if labeled:
-                forced_l: Relation[Operation] = Relation(labeled)
-                for proc in history.procs:
-                    chain = [op for op in history.ops_of(proc) if op.labeled]
-                    for a, b in zip(chain, chain[1:]):
-                        forced_l.add(a, b)
-                chains = (tuple(forced_l.topological_sort()),)
-        # The *real* ordering this time: the DENY side under-approximates
-        # semi-causality with ppo, but a witness must extend the ordering
-        # the chosen coherence order induces.
-        if spec.ordering.needs_coherence:
-            assert coherence is not None  # guaranteed by spec validation
-            ordering = spec.ordering.build(history, rf, coherence)
-        else:
-            ordering = spec.ordering.build(history, cast(ReadsFrom, None), None)
-        ord_pairs = list(ordering.pairs())
-        brack = bracketing_edges(history, rf) if spec.bracketing else None
-        if self.identical:
-            seq = self._admit_view(
-                None, list(history.operations), rf, ord_pairs, chains, brack, coherence
-            )
-            if seq is None:
-                return None
-            views = {
-                proc: View(proc, seq, history, validate=False)
-                for proc in history.procs
-            }
-            return Witness(views=views, reads_from=rf, coherence=coherence)
-        views = {}
-        for proc in history.procs:
-            members = list(spec.operation_set.view_contents(history, proc))
-            seq = self._admit_view(
-                proc, members, rf, ord_pairs, chains, brack, coherence
-            )
-            if seq is None:
-                return None
-            views[proc] = View(proc, seq, history, validate=False)
-        return Witness(views=views, reads_from=rf, coherence=coherence)
-
-    def _base_graph(
-        self,
-        proc: Any,
-        members: list[Operation],
-        rf: ReadsFrom,
-        ord_pairs: list[tuple[Operation, Operation]],
-        chains: tuple[tuple[Operation, ...], ...],
-        brack: Relation[Operation] | None,
-    ) -> Relation[Operation] | None:
-        """Ordering + agreed chains + bracketing + attribution edges.
-
-        ``None`` means some read's unique source is not in the view at
-        all — no legal view of these members exists, whatever the order.
-        """
-        member_set = set(members)
-        own_only = self.spec.ordering_own_view_only
-        rel: Relation[Operation] = Relation(members)
-        for a, b in ord_pairs:
-            if a not in member_set or b not in member_set:
-                continue
-            if own_only and proc is not None and (a.proc != proc or b.proc != proc):
-                continue
-            rel.add(a, b)
-        for chain in chains:
-            prev: Operation | None = None
-            for op in chain:
-                if op not in member_set:
-                    continue
-                if prev is not None:
-                    rel.add(prev, op)
-                prev = op
-        if brack is not None:
-            for a, b in brack.pairs():
-                if a in member_set and b in member_set:
-                    rel.add(a, b)
-        for r in members:
-            if r.is_read:
-                src = rf.get(r)
-                if src is not None:
-                    if src not in member_set:
-                        return None  # the source is invisible: no legal view
-                    rel.add(src, r)
-        return rel
-
-    @staticmethod
-    def _add_pins(
-        rel: Relation[Operation],
-        members: list[Operation],
-        rf: ReadsFrom,
-        loc_order: dict[str, list[Operation]],
-    ) -> bool:
-        """Add exact legality pins for the given per-location write order.
-
-        Between its source and the source's successor in ``loc_order`` (an
-        initial-value read before every same-location write), every read
-        observes precisely its attributed value in *any* topological
-        order.  ``False`` means a read's source is missing from its
-        location's order — no legal view embeds that order.
-        """
-        for r in members:
-            if not r.is_read:
-                continue
-            src = rf.get(r)
-            ws = loc_order.get(r.location, [])
-            if src is None:
-                for w in ws:
-                    if w.uid != r.uid:
-                        rel.add(r, w)
-                continue
-            try:
-                at = next(i for i, w in enumerate(ws) if w.uid == src.uid)
-            except StopIteration:
-                return False
-            nxt = next((w for w in ws[at + 1:] if w.uid != r.uid), None)
-            if nxt is not None:
-                rel.add(r, nxt)
-        return True
-
-    def _admit_view(
-        self,
-        proc: Any,
-        members: list[Operation],
-        rf: ReadsFrom,
-        ord_pairs: list[tuple[Operation, Operation]],
-        chains: tuple[tuple[Operation, ...], ...],
-        brack: Relation[Operation] | None,
-        coherence: dict[str, tuple[Operation, ...]] | None,
-    ) -> list[Operation] | None:
-        """One view as a verified legal sequence, or ``None`` to abstain."""
-        member_set = set(members)
-        rel = self._base_graph(proc, members, rf, ord_pairs, chains, brack)
-        if rel is None:
-            return None
-        # The per-location write order this view will embed.  With a
-        # coherence (or total) agreement it is the agreed order; without
-        # one, derive a view-local order from a topological probe of the
-        # constraints collected so far and freeze it with chain edges.
-        loc_order: dict[str, list[Operation]] = {}
-        if coherence is not None:
-            for loc, chain in coherence.items():
-                loc_order[loc] = [w for w in chain if w in member_set]
-        else:
-            try:
-                probe = rel.topological_sort()
-            except ValueError:
-                return None
-            pos = {op.uid: i for i, op in enumerate(probe)}
-            for op in members:
-                if op.is_write:
-                    loc_order.setdefault(op.location, []).append(op)
-            for ws in loc_order.values():
-                ws.sort(key=lambda w: pos[w.uid])
-                for a, b in zip(ws, ws[1:]):
-                    rel.add(a, b)
-        if not self._add_pins(rel, members, rf, loc_order):
-            return None
-        try:
-            seq = rel.topological_sort()
-        except ValueError:
-            return None
-        if first_legality_violation(seq) is not None:  # pragma: no cover
-            # The construction argument guarantees legality; re-checking is
-            # the cheap belt over those braces — abstain, never mis-admit.
-            return None
-        return seq
-
-    # -- exhaustive agreement enumeration ----------------------------------------
-
-    def _agreed_candidates(
-        self, history: SystemHistory, rf: ReadsFrom
-    ) -> tuple[list[_Candidate], bool]:
-        """Every agreed-order choice the spec leaves open, hard-capped.
-
-        Returns the candidate list and whether it is *exhaustive* — every
-        admissible agreed object extends the forced edges, so enumerating
-        all (capped) linear extensions covers every possibility.  An
-        incomplete list may still ADMIT (each candidate is sufficient on
-        its own) but can never ground a DENY.
-        """
-        candidates: list[_Candidate] = []
-        complete = True
-        if self.total_writes:
-            from repro.kernel.serializations import forced_write_order
-
-            orders, complete = _bounded_sorts(
-                forced_write_order(history, rf), _MAX_AGREED_CANDIDATES
-            )
-            for order in orders:
-                coherence: dict[str, tuple[Operation, ...]] = {}
-                for w in order:
-                    coherence[w.location] = coherence.get(w.location, ()) + (w,)
-                candidates.append((coherence, (tuple(order),)))
-        elif self.spec.mutual_consistency is MutualConsistency.COHERENCE:
-            per_loc: list[list[tuple[str, tuple[Operation, ...]]]] = []
-            size = 1
-            for loc in history.locations:
-                pairs = forced_coherence_pairs(history, loc, rf)
-                if not pairs.items:
-                    continue
-                orders, loc_complete = _bounded_sorts(
-                    pairs, _MAX_AGREED_CANDIDATES
-                )
-                complete = complete and loc_complete
-                size *= max(len(orders), 1)
-                per_loc.append([(loc, tuple(o)) for o in orders])
-            if size > _MAX_AGREED_CANDIDATES:
-                complete = False
-            for combo in islice(product(*per_loc), _MAX_AGREED_CANDIDATES):
-                coherence = dict(combo)
-                candidates.append((coherence, tuple(coherence.values())))
-        elif self.spec.mutual_consistency is MutualConsistency.PARTITION:
-            from repro.kernel.serializations import forced_block_orders
-
-            assert self.spec.partition_blocks is not None  # spec validation
-            per_block: list[list[tuple[Operation, ...]]] = []
-            size = 1
-            for forced_b in forced_block_orders(
-                history, self.spec.partition_blocks, rf
-            ):
-                orders, block_complete = _bounded_sorts(
-                    forced_b, _MAX_AGREED_CANDIDATES
-                )
-                complete = complete and block_complete
-                size *= max(len(orders), 1)
-                per_block.append([tuple(o) for o in orders])
-            if size > _MAX_AGREED_CANDIDATES:
-                complete = False
-            for combo in islice(product(*per_block), _MAX_AGREED_CANDIDATES):
-                coherence = {}
-                for order in combo:
-                    for w in order:
-                        coherence[w.location] = coherence.get(
-                            w.location, ()
-                        ) + (w,)
-                candidates.append(
-                    (coherence, tuple(order for order in combo if order))
-                )
-        elif self.spec.mutual_consistency is MutualConsistency.LABELED_TOTAL_ORDER:
-            labeled = history.labeled_ops
-            if labeled:
-                rel: Relation[Operation] = Relation(labeled)
-                for proc in history.procs:
-                    chain = [op for op in history.ops_of(proc) if op.labeled]
-                    for a, b in zip(chain, chain[1:]):
-                        rel.add(a, b)
-                orders, complete = _bounded_sorts(rel, _MAX_AGREED_CANDIDATES)
-                candidates = [(None, (tuple(o),)) for o in orders]
-            else:
-                candidates = [(None, ())]
-        else:  # NONE: no agreed object; all freedom is per view
-            candidates = [(None, ())]
-        return candidates, complete
-
-    def _exhaust_agreements(
-        self, history: SystemHistory, rf: ReadsFrom
-    ) -> Witness | Counterexample | None:
-        """Decide by enumerating every agreed write-order choice, capped.
-
-        Each candidate agreed order makes the legality pins forced for
-        views embedding it, so a candidate is either *built* (legal views
-        exist — ADMIT, the candidate is a sufficient witness) or
-        *refuted* (a pinned view graph is cyclic — no legal views embed
-        it).  When the candidate list is exhaustive and every candidate
-        is refuted, no agreed order works at all: a sound DENY.  Any
-        non-decisive failure — the cap, a defensive legality re-check —
-        degrades the DENY side to an abstention.  Labeled-discipline
-        specs on labeled histories can still be denied this way (the
-        discipline only *adds* requirements) but never admitted.
-        """
-        spec = self.spec
-        labeled_hard = spec.labeled_discipline is not None and bool(
-            history.labeled_ops
-        )
-        candidates, complete = self._agreed_candidates(history, rf)
-        brack = bracketing_edges(history, rf) if spec.bracketing else None
-        all_decisive = True
-        last_cx: Counterexample | None = None
-        for coherence, chains in candidates:
-            if spec.ordering.needs_coherence:
-                if coherence is None:  # pragma: no cover - spec validation
-                    all_decisive = False
-                    continue
-                ordering = spec.ordering.build(history, rf, coherence)
-            else:
-                ordering = spec.ordering.build(
-                    history, cast(ReadsFrom, None), None
-                )
-            ord_pairs = list(ordering.pairs())
-            if self.identical:
-                probes: list[tuple[Any, list[Operation]]] = [
-                    (None, list(history.operations))
-                ]
-            else:
-                probes = [
-                    (proc, list(spec.operation_set.view_contents(history, proc)))
-                    for proc in history.procs
-                ]
-            seqs: dict[Any, list[Operation]] = {}
-            refuted: Counterexample | None = None
-            stuck = False
-            for proc, members in probes:
-                seq, cx = self._exhaust_view(
-                    proc, members, rf, ord_pairs, chains, brack, coherence
-                )
-                if seq is None:
-                    if cx is None:
-                        stuck = True
-                    else:
-                        refuted = cx
-                    break
-                seqs[proc] = seq
-            if refuted is None and not stuck:
-                if labeled_hard:
-                    # This candidate satisfies the base requirements; only
-                    # the labeled discipline is unverified.  Neither an
-                    # ADMIT (the discipline may fail) nor a DENY (it may
-                    # hold) — the whole rule abstains.
-                    all_decisive = False
-                    continue
-                if self.identical:
-                    common = seqs[None]
-                    views = {
-                        proc: View(proc, common, history, validate=False)
-                        for proc in history.procs
-                    }
-                else:
-                    views = {
-                        proc: View(proc, seq, history, validate=False)
-                        for proc, seq in seqs.items()
-                    }
-                return Witness(views=views, reads_from=rf, coherence=coherence)
-            if stuck:
-                all_decisive = False
-            else:
-                last_cx = refuted
-        if complete and all_decisive and last_cx is not None:
-            detail = (
-                f"all {len(candidates)} agreed write-order choices are "
-                f"refuted; e.g. {last_cx.detail}"
-            )
-            return Counterexample(
-                spec.name,
-                "cyclic-constraints",
-                detail,
-                proc=last_cx.proc,
-                cycle=last_cx.cycle,
-            )
-        return None
-
-    def _exhaust_view(
-        self,
-        proc: Any,
-        members: list[Operation],
-        rf: ReadsFrom,
-        ord_pairs: list[tuple[Operation, Operation]],
-        chains: tuple[tuple[Operation, ...], ...],
-        brack: Relation[Operation] | None,
-        coherence: dict[str, tuple[Operation, ...]] | None,
-    ) -> tuple[list[Operation] | None, Counterexample | None]:
-        """Build one view under a fixed agreed order, or refute it.
-
-        Returns ``(sequence, None)`` on success, ``(None, counterexample)``
-        when the candidate is *decisively* refuted for this view (the
-        pinned graph is cyclic, or a read's unique source never enters the
-        view), and ``(None, None)`` when nothing can be concluded.  With
-        ``coherence`` fixed the graph is deterministic; without one (no
-        cross-view agreement) the view's own per-location write orders are
-        enumerated exhaustively, capped — all refuted and complete means
-        the view itself is impossible.
-        """
-        spec = self.spec
-        who = "the common view" if proc is None else f"processor {proc!r}"
-        member_set = set(members)
-        rel = self._base_graph(proc, members, rf, ord_pairs, chains, brack)
-        if rel is None:
-            return None, Counterexample(
-                spec.name,
-                "invisible-source",
-                f"a read in {who} observes a value whose unique writer "
-                "never enters that view",
-                proc=proc,
-            )
-        if coherence is not None:
-            loc_order = {
-                loc: [w for w in chain if w in member_set]
-                for loc, chain in coherence.items()
-            }
-            if not self._add_pins(rel, members, rf, loc_order):
-                return None, None  # defensive: a source outside its order
-            cycle = rel.find_cycle()
-            if cycle is not None:
-                return None, Counterexample(
-                    spec.name,
-                    "cyclic-constraints",
-                    f"the pinned constraint graph for {who} is cyclic "
-                    f"(cycle of {len(cycle) - 1} operations)",
-                    proc=proc,
-                    cycle=tuple(cycle),
-                )
-            seq = rel.topological_sort()
-            if first_legality_violation(seq) is not None:  # pragma: no cover
-                return None, None
-            return seq, None
-        # No agreed per-location order: the view chooses its own.  Every
-        # legal sequence's induced write order extends the base graph's
-        # forced pairs, so enumerating the extensions is exhaustive.
-        cycle = rel.find_cycle()
-        if cycle is not None:
-            return None, Counterexample(
-                spec.name,
-                "cyclic-constraints",
-                f"the constraint graph for {who} is cyclic "
-                f"(cycle of {len(cycle) - 1} operations)",
-                proc=proc,
-                cycle=tuple(cycle),
-            )
-        closure = rel.transitive_closure()
-        per_loc: list[list[tuple[str, tuple[Operation, ...]]]] = []
-        complete = True
-        size = 1
-        writes_by_loc: dict[str, list[Operation]] = {}
-        for op in members:
-            if op.is_write:
-                writes_by_loc.setdefault(op.location, []).append(op)
-        for loc, ws in sorted(writes_by_loc.items()):
-            sub: Relation[Operation] = Relation(ws)
-            for a in ws:
-                for b in ws:
-                    if a.uid != b.uid and closure.orders(a, b):
-                        sub.add(a, b)
-            orders, loc_complete = _bounded_sorts(sub, _MAX_AGREED_CANDIDATES)
-            complete = complete and loc_complete
-            size *= max(len(orders), 1)
-            per_loc.append([(loc, tuple(o)) for o in orders])
-        if size > _MAX_AGREED_CANDIDATES:
-            complete = False
-        last: list[Operation] | None = None
-        for combo in islice(product(*per_loc), _MAX_AGREED_CANDIDATES):
-            trial = self._base_graph(proc, members, rf, ord_pairs, chains, brack)
-            assert trial is not None  # the base graph built above
-            loc_order = {}
-            for loc, order in combo:
-                loc_order[loc] = list(order)
-                for a, b in zip(order, order[1:]):
-                    trial.add(a, b)
-            if not self._add_pins(trial, members, rf, loc_order):
-                complete = False
-                continue
-            cycle = trial.find_cycle()
-            if cycle is not None:
-                last = cycle
-                continue
-            seq = trial.topological_sort()
-            if first_legality_violation(seq) is not None:  # pragma: no cover
-                complete = False
-                continue
-            return seq, None
-        if complete and last is not None:
-            return None, Counterexample(
-                spec.name,
-                "cyclic-constraints",
-                f"every per-view write order for {who} is refuted "
-                f"(e.g. a cycle of {len(last) - 1} operations)",
-                proc=proc,
-                cycle=tuple(last),
-            )
-        return None, None
 
 
 @lru_cache(maxsize=128)

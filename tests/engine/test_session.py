@@ -78,19 +78,6 @@ def test_parse_op_line_errors():
     assert [str(o) for o in ops] == ["w_p(x)1", "r_p(x)1"]
 
 
-def test_prepass_flag_is_forwarded():
-    seed = parse_history("p: w(x)1 w(x)2 | q: r(x)2 r(x)1")
-    plain = EngineSession(("SC",), history=seed)
-    pre = EngineSession(("SC",), history=seed, prepass=True)
-    assert not plain.verdicts()["SC"] and not pre.verdicts()["SC"]
-    # Each matches its own one-shot shape (the pre-pass denies with a
-    # counterexample the search-deny lacks).
-    for session, prepass in ((plain, False), (pre, True)):
-        want = check_with_spec(MODELS["SC"].spec, seed, prepass=prepass)
-        got = session.last_results["SC"]
-        assert (got.reason, got.explored) == (want.reason, want.explored)
-
-
 def test_interleaved_sessions_stay_correct():
     """Two sessions sharing the kernel's single plane slot don't corrupt
     each other — losing plane reuse is a performance event, never a

@@ -4,8 +4,8 @@ The streaming refactor's acceptance bar: replaying any history op by op
 through :class:`~repro.kernel.incremental.IncrementalCheck` must give —
 at *every* prefix — the same verdict, reason, exploration count, witness
 views and counterexample kind as a fresh
-:func:`~repro.kernel.search.check_with_spec` of that prefix, prepass on
-and off.  Plus the substrate contracts: a grown plane equals a freshly
+:func:`~repro.kernel.search.check_with_spec` of that prefix.  Plus the
+substrate contracts: a grown plane equals a freshly
 compiled one field for field, streams re-index and detect rescues, and
 DENY results harden under :meth:`CheckResult.extend` while ADMITs refuse.
 """
@@ -61,26 +61,24 @@ def fingerprint(result):
     )
 
 
-def assert_stream_parity(history, models=SPEC_MODELS, prepass=(False, True)):
+def assert_stream_parity(history, models=SPEC_MODELS):
     for name in models:
         spec = MODELS[name].spec
-        for pp in prepass:
-            stream = HistoryStream()
-            inc = IncrementalCheck(spec, stream, prepass=pp)
-            inc.check()
-            for op in interleaved(history):
-                placed, reused = stream.append(op)
-                got = inc.on_appended((placed,), reused)
-                want = check_with_spec(spec, stream.history, prepass=pp)
-                assert fingerprint(got) == fingerprint(want), (
-                    f"{name} prepass={pp} at "
-                    f"{len(stream.history.operations)} ops"
-                )
+        stream = HistoryStream()
+        inc = IncrementalCheck(spec, stream)
+        inc.check()
+        for op in interleaved(history):
+            placed, reused = stream.append(op)
+            got = inc.on_appended((placed,), reused)
+            want = check_with_spec(spec, stream.history)
+            assert fingerprint(got) == fingerprint(want), (
+                f"{name} at {len(stream.history.operations)} ops"
+            )
 
 
 @pytest.mark.parametrize("name", list(CATALOG))
 def test_catalog_prefix_parity(name):
-    """Every catalog history × spec model × prefix, prepass on and off."""
+    """Every catalog history × spec model × prefix."""
     assert_stream_parity(CATALOG[name].history)
 
 

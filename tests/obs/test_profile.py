@@ -12,36 +12,28 @@ class TestProfileCheck:
     def test_verdict_matches_unprofiled_call(self):
         spec = MODELS["TSO"].spec
         history = CATALOG["fig1-sb"].history
-        plain = check_with_spec(spec, history, prepass=True)
+        plain = check_with_spec(spec, history)
         result, profile = profile_check(spec, history)
         assert result.allowed == plain.allowed == profile.allowed
         assert result.explored == plain.explored == profile.explored
         assert profile.model == spec.name
 
     def test_phases_and_counters_recorded(self):
-        # Ambiguous attribution keeps the pre-pass undecided, so the
-        # profile records all three phases including the real search.
         history = parse_history("p: w(x)1 | q: w(x)1 | r: r(x)1")
         _, profile = profile_check(MODELS["TSO"].spec, history)
-        assert set(profile.phase_seconds) == {"prepass", "compile", "search"}
+        assert set(profile.phase_seconds) == {"compile", "search"}
         assert all(s >= 0 for s in profile.phase_seconds.values())
         assert profile.counters["check-started"] == 1
         assert profile.counters["node"] > 0
         assert profile.total_seconds == sum(profile.phase_seconds.values())
 
-    def test_prepass_decided_check_skips_the_search_phase(self):
-        # SC denies fig1-sb in the pre-pass: no compile, no search.
+    def test_no_prepass_profiles_the_raw_kernel(self):
+        # SC denies fig1-sb by search: no static phase, no rule events.
         _, profile = profile_check(MODELS["SC"].spec, CATALOG["fig1-sb"].history)
         assert not profile.allowed
-        assert "search" not in profile.phase_seconds
-        assert profile.counters.get("node") is None
-
-    def test_no_prepass_profiles_the_raw_kernel(self):
-        _, profile = profile_check(
-            MODELS["SC"].spec, CATALOG["fig1-sb"].history, prepass=False
-        )
         assert "prepass" not in profile.phase_seconds
         assert "search" in profile.phase_seconds
+        assert "prepass-rule" not in profile.counters
 
     def test_to_dict_is_json_compatible(self):
         _, profile = profile_check(MODELS["TSO"].spec, CATALOG["fig1-sb"].history)
@@ -70,7 +62,7 @@ class TestAggregate:
         md = agg.render(markdown=True)
         assert md.startswith("| model")
         counters = agg.render_counters()
-        assert "prepass-rule" in counters
+        assert "node" in counters
 
     def test_empty_aggregate_renders_placeholders(self):
         agg = ProfileAggregate()

@@ -4,6 +4,7 @@ The load-bearing property of the whole layer: for every catalog history
 under every spec-backed model, the traced check returns exactly what the
 untraced check returns, and the event stream is a faithful narration
 (it ends in a matching verdict, its solved views agree with the witness).
+The same holds for the static DENY battery ``repro lint history`` runs.
 """
 
 import pytest
@@ -12,6 +13,7 @@ from repro.checking.models import MODELS, resolve_models
 from repro.kernel.search import check_with_spec
 from repro.litmus import CATALOG
 from repro.obs import RecordingSink, VerdictReached, render_trace, tracing
+from repro.staticcheck import compile_prepass, prepass_check
 
 SPEC_MODELS = resolve_models("spec")
 CASES = [(name, model) for name in CATALOG for model in SPEC_MODELS]
@@ -24,9 +26,12 @@ CASES = [(name, model) for name in CATALOG for model in SPEC_MODELS]
 def test_traced_equals_untraced(entry, model, prepass):
     spec = MODELS[model].spec
     history = CATALOG[entry].history
-    plain = check_with_spec(spec, history, prepass=prepass)
+    if prepass:
+        _assert_prepass_traced_equals_untraced(spec, history)
+        return
+    plain = check_with_spec(spec, history)
     sink = RecordingSink()
-    traced = check_with_spec(spec, history, prepass=prepass, trace=sink)
+    traced = check_with_spec(spec, history, trace=sink)
 
     assert traced.allowed == plain.allowed
     assert traced.explored == plain.explored
@@ -62,13 +67,30 @@ def test_traced_equals_untraced(entry, model, prepass):
     assert "Verdict" in render_trace(sink.events, markdown=True)
 
 
+def _assert_prepass_traced_equals_untraced(spec, history):
+    """The DENY battery: same verdict traced, one rule event per rule."""
+    plain = prepass_check(spec, history)
+    with tracing(RecordingSink()) as sink:
+        traced = prepass_check(spec, history)
+    assert traced == plain
+    rules = sink.of_kind("prepass-rule")
+    assert [e.rule for e in rules] == list(compile_prepass(spec).checks[: len(rules)])
+    denies = [e for e in rules if e.outcome == "deny"]
+    if plain.decided:
+        assert [e.rule for e in denies] == [plain.check]
+        assert denies[0].detail == plain.reason
+    else:
+        assert denies == []
+    assert "rule rf-sanity" in render_trace(sink.events)
+
+
 def test_global_sink_sees_the_same_stream_as_the_trace_kwarg():
     spec = MODELS["TSO"].spec
     history = CATALOG["fig1-sb"].history
     direct = RecordingSink()
-    check_with_spec(spec, history, prepass=True, trace=direct)
+    check_with_spec(spec, history, trace=direct)
     with tracing(RecordingSink()) as ambient:
-        check_with_spec(spec, history, prepass=True)
+        check_with_spec(spec, history)
     assert ambient.events == direct.events
 
 

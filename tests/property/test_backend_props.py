@@ -95,18 +95,16 @@ def test_batch_parity(batch):
     assert backend.gate_batch(rows, n) == [backend.gate(m, n) for m in rows]
 
 
-@given(history_strategy(), st.booleans())
+@given(history_strategy())
 @settings(
     max_examples=25,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-def test_check_results_identical_across_backends(history, prepass):
+def test_check_results_identical_across_backends(history):
     for name in SPEC_MODELS:
         spec = MODELS[name].spec
-        ref = check_result_to_dict(check_with_spec(spec, history, prepass=prepass))
+        ref = check_result_to_dict(check_with_spec(spec, history))
         with use_backend(_CountingBackend()):
-            got = check_result_to_dict(
-                check_with_spec(spec, history, prepass=prepass)
-            )
+            got = check_result_to_dict(check_with_spec(spec, history))
         assert ref == got, f"backend divergence under {name}"

@@ -4,7 +4,7 @@ The streaming contract as a property: for a random history, replaying it
 op by op through an :class:`~repro.kernel.incremental.IncrementalCheck`
 gives — after every append — exactly the verdict a fresh one-shot
 :func:`~repro.kernel.search.check_with_spec` gives on the same prefix,
-across every spec-backed catalog model, with the prepass both off and on.
+across every spec-backed catalog model.
 A second property drives the whole :class:`~repro.engine.EngineSession`
 coordinator (shared stream + relation memo) to the same bar, and a third
 pins stream bookkeeping (re-indexing, plane-reuse flags).
@@ -13,7 +13,6 @@ pins stream bookkeeping (re-indexing, plane-reuse flags).
 from itertools import zip_longest
 
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.checking.models import MODELS, resolve_models
 from repro.engine import EngineSession
@@ -53,22 +52,21 @@ def fingerprint(result):
     )
 
 
-@given(history_strategy(), st.booleans())
+@given(history_strategy())
 @RELAXED
-def test_append_equals_fresh_check_of_extended_prefix(h, prepass):
+def test_append_equals_fresh_check_of_extended_prefix(h):
     """append(op) ≡ a fresh full check of prefix+op, at every prefix."""
     for name in SPEC_MODELS:
         spec = MODELS[name].spec
         stream = HistoryStream()
-        inc = IncrementalCheck(spec, stream, prepass=prepass)
+        inc = IncrementalCheck(spec, stream)
         inc.check()
         for op in interleaved(h):
             placed, reused = stream.append(op)
             got = inc.on_appended((placed,), reused)
-            want = check_with_spec(spec, stream.history, prepass=prepass)
+            want = check_with_spec(spec, stream.history)
             assert fingerprint(got) == fingerprint(want), (
-                f"{name} prepass={prepass} at "
-                f"{len(stream.history.operations)} ops:\n{stream.history}"
+                f"{name} at {len(stream.history.operations)} ops:\n{stream.history}"
             )
 
 

@@ -2,8 +2,8 @@
 
 The acceptance contract for the serve subsystem lives here:
 ``POST /check`` must return the *same* verdict + witness JSON as calling
-:func:`repro.kernel.search.check_with_spec` in process, for every
-catalog entry under every registered model.
+the model's :meth:`~repro.checking.models.MemoryModel.check` in process,
+for every catalog entry under every registered model.
 """
 
 import http.client
@@ -55,13 +55,7 @@ class TestAcceptance:
             )
             assert status == 200, (name, response)
             for model_name in model_names():
-                model = MODELS[model_name]
-                if model.spec is not None:
-                    expected = check_with_spec(
-                        model.spec, entry.history, prepass=True
-                    )
-                else:
-                    expected = model.check(entry.history)
+                expected = MODELS[model_name].check(entry.history)
                 # Normalize through JSON: the response crossed the wire.
                 expected_dict = json.loads(
                     json.dumps(check_result_to_dict(expected))

@@ -43,7 +43,7 @@ class TestLiveRoundTrip:
             server.port,
             "POST",
             "/session",
-            {"models": ["SC", "PRAM", "Coherence"], "prepass": False},
+            {"models": ["SC", "PRAM", "Coherence"]},
         )
         assert status == 201, created
         sid = created["session"]
@@ -144,6 +144,10 @@ class TestLiveRoundTrip:
             server.port, "POST", "/session", {"frobnicate": 1}
         )
         assert status == 400 and "unknown session parameter" in err["error"]
+        status, err = _request(
+            server.port, "POST", "/session", {"models": ["SC"], "prepass": True}
+        )
+        assert status == 400 and "prepass" in err["error"]
         status, err = _request(
             server.port, "POST", "/session/ses:missing/append", {"op": "p: w(x)1"}
         )

@@ -315,10 +315,12 @@ class TestLintHistory:
         assert "unknown" in capsys.readouterr().out
 
     def test_admitted_exits_zero(self, capsys):
+        # An admitted history has no contradiction; the battery cannot
+        # admit, so it reports unknown (the search decides).
         rc = main(["lint", "history", "p: w(x)1 | q: r(x)1", "--model", "SC"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "ADMIT" in out and "DENY" not in out
+        assert "unknown" in out and "DENY" not in out
 
     def test_all_models_sweep(self, capsys):
         rc = main(["lint", "history", "fig1-sb"])
@@ -378,20 +380,22 @@ class TestLintProgram:
         assert "RACE" in capsys.readouterr().out
 
 
-class TestSweepPrepass:
-    def test_no_prepass_flag_matches_default_counts(self, capsys):
-        rc = main(["sweep", "--models", "SC,Causal"])
-        assert rc == 0
-        fast = capsys.readouterr().out
-        rc = main(["sweep", "--models", "SC,Causal", "--no-prepass"])
-        assert rc == 0
-        slow = capsys.readouterr().out
-        get_counts = lambda out: [
-            line for line in out.splitlines() if line.startswith("allowed")
-        ]
-        assert get_counts(fast) == get_counts(slow)
-        assert "static pre-pass" in fast
-        assert "static pre-pass" not in slow
+class TestNoPrepassFlag:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep"],
+            ["trace", "fig1-sb", "SC"],
+            ["profile"],
+            ["serve"],
+        ],
+        ids=["sweep", "trace", "profile", "serve"],
+    )
+    def test_removed_flag_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--no-prepass"])
+        assert exc.value.code == 2
+        assert "--no-prepass" in capsys.readouterr().err
 
 
 class TestTrace:
@@ -406,9 +410,7 @@ class TestTrace:
         out = capsys.readouterr().out
         assert "history (fig1-sb):" in out          # prefix resolved
         assert "Tracing TSO" in out and "Verdict: TSO allowed" in out
-        result = check_with_spec(
-            MODELS["TSO"].spec, CATALOG["fig1-sb"].history, prepass=True
-        )
+        result = check_with_spec(MODELS["TSO"].spec, CATALOG["fig1-sb"].history)
         assert result.allowed
         assert "witness views:" in out
         for view in result.views.values():
@@ -423,7 +425,7 @@ class TestTrace:
         assert "witness views:" not in out
 
     def test_no_prepass_narrates_the_search_instead(self, capsys):
-        rc = main(["trace", "fig1-sb", "SC", "--no-prepass"])
+        rc = main(["trace", "fig1-sb", "SC"])
         assert rc == 1
         out = capsys.readouterr().out
         assert "Static pre-pass" not in out
@@ -459,13 +461,14 @@ class TestProfile:
         assert rc == 0
         out = capsys.readouterr().out
         assert f"profiled {2 * len(CATALOG)} check(s)" in out
-        assert "prepass" in out and "search" in out and "total" in out
+        assert "compile" in out and "search" in out and "total" in out
+        assert "prepass" not in out
 
     def test_counters_and_markdown(self, capsys):
         rc = main(["profile", "--models", "SC", "--counters", "--markdown"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "| model" in out and "prepass-rule" in out
+        assert "| model" in out and "node" in out
 
     def test_repeat_multiplies_checks(self, capsys):
         from repro.litmus import CATALOG
