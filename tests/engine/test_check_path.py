@@ -58,12 +58,16 @@ def test_map_classify_equals_check(workers, jobs_and_expected):
     ]
 
 
-def test_classify_and_classify_histories_equal_check(jobs_and_expected):
+def test_classify_equals_check(jobs_and_expected):
     jobs, expected = jobs_and_expected
     engine = CheckEngine(jobs=1)
     for job in jobs:
         want = {m: r.allowed for m, r in expected[job.key].items()}
         assert engine.classify(job.history, SPEC_MODELS) == want
+
+
+def test_classify_histories_equals_check(jobs_and_expected):
+    jobs, expected = jobs_and_expected
     result = classify_histories([job.history for job in jobs], SPEC_MODELS)
     for name in SPEC_MODELS:
         assert result.allowed[name] == {
