@@ -88,7 +88,7 @@ def test_bench_generic_tso(benchmark):
 
 def test_bench_catalog_sweep_direct(benchmark):
     """Baseline: every catalog history × every model via direct check()."""
-    benchmark.group = "catalog sweep: direct vs engine-cached"
+    benchmark.group = "catalog sweep"
     names = tuple(MODELS)
 
     def sweep():
@@ -97,26 +97,6 @@ def test_bench_catalog_sweep_direct(benchmark):
             for test in CATALOG.values()
             for m in names
         )
-
-    allowed = benchmark(sweep)
-    assert allowed > 0
-
-
-def test_bench_catalog_sweep_engine_cached(benchmark):
-    """Same sweep through the engine: relations computed once per history."""
-    from repro.engine import CheckEngine
-
-    benchmark.group = "catalog sweep: direct vs engine-cached"
-    names = tuple(MODELS)
-
-    def sweep():
-        engine = CheckEngine(jobs=1)
-        total = sum(
-            sum(engine.classify(test.history, names).values())
-            for test in CATALOG.values()
-        )
-        assert engine.cache.hit_rate > 0
-        return total
 
     allowed = benchmark(sweep)
     assert allowed > 0

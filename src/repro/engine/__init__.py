@@ -1,4 +1,4 @@
-"""repro.engine — parallel batch-checking with relation caching.
+"""repro.engine — parallel batch-checking.
 
 The engine turns "check these histories against these models" into a
 declarative, resumable, parallelizable workload:
@@ -8,8 +8,9 @@ declarative, resumable, parallelizable workload:
   :class:`CheckJob` units.
 - :mod:`repro.engine.pool` — :class:`CheckEngine` executes jobs serially
   or on a multiprocessing pool; results are byte-identical either way.
-- :mod:`repro.engine.cache` — :class:`RelationCache` computes each
-  history's order-relation substrate once and shares it across models.
+- :mod:`repro.engine.cache` — :class:`RelationCache`, a relation memo
+  keyed by canonical history key, for callers that install one with
+  :func:`~repro.orders.memo.relation_memo` (no engine loop does).
 - :mod:`repro.engine.store` — :class:`ResultStore`, the append-only JSONL
   log with resume-by-key support.
 - :mod:`repro.engine.sqlstore` — :class:`SqliteResultStore`, the
@@ -35,7 +36,7 @@ Quickstart::
 from repro.engine.cache import RelationCache
 from repro.engine.jobs import SOURCES, CheckJob, SweepSpec
 from repro.engine.metrics import EngineMetrics
-from repro.engine.pool import DEFAULT_CACHE_HISTORIES, CheckEngine, SweepReport
+from repro.engine.pool import CheckEngine, SweepReport
 from repro.engine.session import EngineSession, parse_op_line
 from repro.engine.sqlstore import SqliteResultStore, migrate_store, open_store
 from repro.engine.store import (
@@ -49,7 +50,6 @@ __all__ = [
     "BaseResultStore",
     "CheckEngine",
     "CheckJob",
-    "DEFAULT_CACHE_HISTORIES",
     "EngineMetrics",
     "EngineSession",
     "JsonlLog",

@@ -1,11 +1,14 @@
-"""The engine's relation cache: one substrate computation per history.
+"""A relation memo keyed by canonical history key.
 
 A batch check of one history against M models re-derives the same order
 relations — program order, partial program order, the reads-from
 attribution, writes-before — up to M times.  :class:`RelationCache`
-extends the generic :class:`~repro.orders.memo.RelationMemo` so that the
-engine computes that substrate once per history and shares it across every
-model check, and it keys entries by the *canonical history key* of
+extends the generic :class:`~repro.orders.memo.RelationMemo` so that a
+caller who installs it computes that substrate once per history and
+shares it across every model check.  No engine loop installs one: the
+kernel compiles each history once into its shared plane, and on the
+engine's sweep, panel and service loops the memo cost more than it saved
+(EXPERIMENTS.md E23).  It keys entries by the *canonical history key* of
 :func:`repro.lattice.enumeration.canonical_key` so that the cache survives
 re-parsing (two parses of the same litmus text are distinct objects with
 one canonical key).
@@ -35,8 +38,7 @@ HistorySubstrate = dict[str, Any]
 class RelationCache(RelationMemo):
     """A :class:`RelationMemo` keyed by canonical history key.
 
-    Drop-in compatible with :func:`repro.orders.memo.relation_memo`; the
-    engine activates one instance around every model check of a history.
+    Drop-in compatible with :func:`repro.orders.memo.relation_memo`.
     """
 
     __slots__ = ("_ckeys",)

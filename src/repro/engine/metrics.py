@@ -28,6 +28,8 @@ class EngineMetrics:
     #: Always 0: no engine check runs the static prepass.  Kept because
     #: ``bench/workloads.py`` reads it; the next benchmark change drops the read.
     prepass_decided: int = 0
+    #: Always 0: no engine loop runs a relation cache (E23).  Kept because
+    #: ``bench/workloads.py`` reads them; the next benchmark change drops the read.
     cache_hits: int = 0
     cache_misses: int = 0
     wall_seconds: float = 0.0

@@ -2,7 +2,7 @@
 
 :class:`CheckEngine` runs the jobs of a :class:`~repro.engine.jobs.SweepSpec`
 either in-process (``jobs=1``) or on a :mod:`multiprocessing` pool with
-per-worker warm model registries and relation caches.  Dispatch is chunked
+per-worker warm model registries.  Dispatch is chunked
 and ordered (``Pool.imap`` over deterministic chunks), so the stream of
 result records — and therefore the bytes in the result store — is identical
 for any worker count.
@@ -29,33 +29,19 @@ from repro.checking.models import check, model_names
 from repro.core.errors import EngineError
 from repro.core.history import SystemHistory
 from repro.core.serialization import history_from_dict, history_to_dict, view_to_dict
-from repro.engine.cache import RelationCache
 from repro.engine.jobs import SweepSpec
 from repro.engine.metrics import EngineMetrics
 from repro.engine.store import ResultStore
-from repro.orders.memo import relation_memo
 
-__all__ = ["CheckEngine", "SweepReport", "DEFAULT_CACHE_HISTORIES"]
-
-#: Per-worker bound on distinct histories held in the relation cache.
-DEFAULT_CACHE_HISTORIES = 256
+__all__ = ["CheckEngine", "SweepReport"]
 
 #: One unit of chunk-body input: (key, history, model names).
 _Payload = tuple[str, SystemHistory, tuple[str, ...]]
 #: The same unit on its way to a pool worker: the history as its wire dict.
 _WirePayload = tuple[str, dict, tuple[str, ...]]
 
-# Per-worker state, installed by the pool initializer (one per process).
-_WORKER_STATE: dict | None = None
-
-
-def _fresh_state(
-    cache_histories: int = DEFAULT_CACHE_HISTORIES, store_views: bool = False
-) -> dict:
-    return {
-        "cache": RelationCache(max_histories=cache_histories),
-        "store_views": store_views,
-    }
+# Per-worker option, installed by the pool initializer (one per process).
+_WORKER_STORE_VIEWS: bool | None = None
 
 
 def _warm_models() -> None:
@@ -71,39 +57,40 @@ def _warm_models() -> None:
         check(tiny, name)
 
 
-def _init_worker(cache_histories: int, store_views: bool) -> None:
-    global _WORKER_STATE
+def _init_worker(store_views: bool) -> None:
+    global _WORKER_STORE_VIEWS
     # A worker forked from ``repro serve`` inherits its event loop's no-op
     # SIGTERM handler and would outlive the pool's terminate(), which then
     # waits on it forever; restore the default so teardown ends it.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     _warm_models()
-    _WORKER_STATE = _fresh_state(cache_histories, store_views)
+    _WORKER_STORE_VIEWS = store_views
 
 
-def _run_chunk_impl(chunk: Sequence[_Payload], state: dict) -> dict:
-    """Check every payload of ``chunk``; returns records plus cache deltas."""
-    cache: RelationCache = state["cache"]
-    store_views: bool = state.get("store_views", False)
-    hits0, misses0 = cache.hits, cache.misses
+def _run_chunk_impl(chunk: Sequence[_Payload], store_views: bool) -> dict:
+    """Check every payload of ``chunk``; returns its result records.
+
+    No relation cache: the kernel compiles each history once into its
+    shared plane, and a memo around these checks cost more than it saved
+    (EXPERIMENTS.md E23).
+    """
     records: list[dict] = []
     for key, history, models in chunk:
         verdicts: dict[str, bool] = {}
         explored: dict[str, int] = {}
         views: dict[str, list[dict]] = {}
         model_seconds: dict[str, float] = {}
-        with relation_memo(cache):
-            for model in models:
-                t0 = time.perf_counter()
-                result = check(history, model)
-                model_seconds[model] = time.perf_counter() - t0
-                verdicts[model] = result.allowed
-                explored[model] = result.explored
-                if store_views and result.views:
-                    views[model] = [
-                        view_to_dict(result.views[proc])
-                        for proc in sorted(result.views, key=str)
-                    ]
+        for model in models:
+            t0 = time.perf_counter()
+            result = check(history, model)
+            model_seconds[model] = time.perf_counter() - t0
+            verdicts[model] = result.allowed
+            explored[model] = result.explored
+            if store_views and result.views:
+                views[model] = [
+                    view_to_dict(result.views[proc])
+                    for proc in sorted(result.views, key=str)
+                ]
         record = {
             "key": key,
             "models": verdicts,
@@ -113,11 +100,7 @@ def _run_chunk_impl(chunk: Sequence[_Payload], state: dict) -> dict:
         if store_views:
             record["views"] = views
         records.append(record)
-    return {
-        "records": records,
-        "cache_hits": cache.hits - hits0,
-        "cache_misses": cache.misses - misses0,
-    }
+    return {"records": records}
 
 
 def _parsed(chunk: Sequence[_WirePayload]) -> list[_Payload]:
@@ -126,31 +109,28 @@ def _parsed(chunk: Sequence[_WirePayload]) -> list[_Payload]:
 
 
 def _run_chunk(chunk: Sequence[_WirePayload]) -> dict:
-    assert _WORKER_STATE is not None, "worker used before initialisation"
-    return _run_chunk_impl(_parsed(chunk), _WORKER_STATE)
+    assert _WORKER_STORE_VIEWS is not None, "worker used before initialisation"
+    return _run_chunk_impl(_parsed(chunk), _WORKER_STORE_VIEWS)
 
 
-def _run_panel_chunk_impl(chunk: Sequence[_Payload], state: dict) -> list[dict]:
+def _run_panel_chunk_impl(
+    chunk: Sequence[_Payload], store_views: bool
+) -> list[dict]:
     """Oracle-panel verdicts for every payload of ``chunk``, in order.
 
     The differential fuzzer's worker body: each history is answered by the
-    full panel (fast path, kernel, frozen legacy solver, static pre-pass)
-    under the worker's relation memo.  Lazy import — the diff layer sits
-    above the engine, and only fuzz runs need it.
+    full panel (fast path, kernel, frozen legacy solver, static pre-pass).
+    Lazy import — the diff layer sits above the engine, and only fuzz runs
+    need it.
     """
     from repro.diff.oracles import panel_verdicts
 
-    cache: RelationCache = state["cache"]
-    panels: list[dict] = []
-    with relation_memo(cache):
-        for _key, history, models in chunk:
-            panels.append(panel_verdicts(history, models))
-    return panels
+    return [panel_verdicts(history, models) for _key, history, models in chunk]
 
 
 def _run_panel_chunk(chunk: Sequence[_WirePayload]) -> list[dict]:
-    assert _WORKER_STATE is not None, "worker used before initialisation"
-    return _run_panel_chunk_impl(_parsed(chunk), _WORKER_STATE)
+    assert _WORKER_STORE_VIEWS is not None, "worker used before initialisation"
+    return _run_panel_chunk_impl(_parsed(chunk), _WORKER_STORE_VIEWS)
 
 
 @dataclass
@@ -174,7 +154,7 @@ class SweepReport:
 
 
 class CheckEngine:
-    """Batch history checking with relation caching and optional parallelism.
+    """Batch history checking with optional parallelism.
 
     Parameters
     ----------
@@ -186,8 +166,6 @@ class CheckEngine:
     chunk_size:
         Payloads per dispatch unit; default sizes chunks so each worker
         sees several chunks (load balance without dispatch overhead).
-    cache_histories:
-        Per-worker relation-cache bound (distinct histories).
     store_views:
         Also record witness views (wire-format, per model) in result
         records, so positive verdicts keep their evidence; off by default
@@ -198,7 +176,6 @@ class CheckEngine:
         self,
         jobs: int = 1,
         chunk_size: int | None = None,
-        cache_histories: int = DEFAULT_CACHE_HISTORIES,
         store_views: bool = False,
     ) -> None:
         if jobs < 1:
@@ -207,38 +184,28 @@ class CheckEngine:
             raise EngineError(f"chunk_size must be >= 1, got {chunk_size}")
         self.jobs = jobs
         self.chunk_size = chunk_size
-        self.cache_histories = cache_histories
         self.store_views = store_views
-        self._local_state: dict | None = None
 
-    # -- serial cached checking (the in-process fast path) ----------------------
-
-    @property
-    def cache(self) -> RelationCache:
-        """The in-process relation cache (serial path and ``classify``)."""
-        if self._local_state is None:
-            self._local_state = _fresh_state(self.cache_histories)
-        return self._local_state["cache"]
+    # -- in-process checking -----------------------------------------------------
 
     def classify(
         self, history: SystemHistory, models: Sequence[str] | None = None
     ) -> dict[str, bool]:
-        """Verdicts of several models on one history, relation-cached.
+        """Verdicts of several models on one history (default: every model).
 
-        The in-process counterpart of :func:`repro.checking.classify`: the
-        order relations are derived once and shared across the models.
+        The in-process counterpart of :func:`repro.checking.classify`; the
+        models share the history's compiled plane.
         """
         names = tuple(models) if models is not None else model_names()
-        with relation_memo(self.cache):
-            return {name: check(history, name).allowed for name in names}
+        return {name: check(history, name).allowed for name in names}
 
     def map_classify(
         self, histories: Iterable[SystemHistory], models: Sequence[str]
     ) -> list[dict[str, bool]]:
         """Verdict maps for many histories, in input order.
 
-        Runs on the worker pool when ``jobs > 1``; the in-process path uses
-        the engine's own cache.  Results are identical either way.
+        Runs on the worker pool when ``jobs > 1``.  Results are identical
+        either way.
         """
         names = tuple(models)
         payloads: list[_Payload] = [
@@ -307,8 +274,6 @@ class CheckEngine:
         payloads: list[_Payload] = [(job.key, job.history, job.models) for job in todo]
         results: list[dict] = []
         for out in self._execute(self._chunks(payloads)):
-            metrics.cache_hits += out["cache_hits"]
-            metrics.cache_misses += out["cache_misses"]
             for record in out["records"]:
                 for model, seconds in record.pop("model_seconds").items():
                     metrics.add_model_time(model, seconds)
@@ -361,9 +326,9 @@ class CheckEngine:
     ) -> Iterator:
         """Run ``chunks`` through a chunk body, in-process or on the pool.
 
-        ``impl`` is the in-process body ``(chunk, state) -> output`` and
-        ``worker`` its module-level pool twin (picklable, reading the
-        per-process state installed by the initializer).  Both defaults are
+        ``impl`` is the in-process body ``(chunk, store_views) -> output``
+        and ``worker`` its module-level pool twin (picklable, reading the
+        per-process option installed by the initializer).  Both defaults are
         the sweep body; :meth:`map_panel` passes the oracle-panel pair.
         Only the pool branch serializes: each history crosses to the
         workers as its wire dict, and ``worker`` parses it back.
@@ -371,21 +336,14 @@ class CheckEngine:
         if not chunks:
             return
         if self.jobs == 1:
-            state = (
-                self._local_state
-                if self._local_state is not None
-                else _fresh_state(self.cache_histories, self.store_views)
-            )
-            state["store_views"] = self.store_views
-            self._local_state = state
             for chunk in chunks:
-                yield impl(chunk, state)
+                yield impl(chunk, self.store_views)
             return
         ctx = multiprocessing.get_context()
         with ctx.Pool(
             processes=self.jobs,
             initializer=_init_worker,
-            initargs=(self.cache_histories, self.store_views),
+            initargs=(self.store_views,),
         ) as pool:
             wire_chunks = (
                 [(key, history_to_dict(h), models) for key, h, models in chunk]

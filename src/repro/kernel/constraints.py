@@ -9,15 +9,17 @@ search layer runs on:
 * each processor's view membership (parameter 1) as index lists in the
   view-contents order the witnesses are built in,
 * the per-view ordering constraints (parameter 3) plus release
-  consistency's bracketing edges as predecessor bitmasks — for
-  semi-causality, a coherence-independent part plus a per-candidate
-  delta (see :meth:`CompiledConstraints.ordering_masks`), and
+  consistency's bracketing edges as predecessor bitmasks, built on the
+  payload arrays by each ordering rule's mask function
+  (:func:`rule_compiler`) — for semi-causality, a coherence-independent
+  part plus a per-candidate delta (see
+  :meth:`CompiledConstraints.ordering_masks`), and
 * the reads-from propagation edges that make the search incremental
   (see :func:`CompiledConstraints.candidate_propagation`).
 
 Compilation is split into what depends on the history and spec alone
-(:class:`CompiledConstraints`, cacheable across checks — the engine's
-:class:`~repro.engine.cache.RelationCache` stores these keyed by
+(:class:`CompiledConstraints`, cacheable across checks — an active
+:func:`~repro.orders.memo.relation_memo` stores these keyed by
 ``(history, spec.cache_key)``) and what depends on the reads-from
 attribution (:class:`AttributionPlane`, one per enumerated attribution and
 cached for the unambiguous one).
@@ -33,7 +35,8 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Iterable, Mapping, NamedTuple, Sequence
+from functools import partial
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.core.errors import KernelError
 from repro.core.history import SystemHistory
@@ -43,12 +46,26 @@ from repro.orders.memo import active_memo
 from repro.orders.relation import Relation
 from repro.orders.writes_before import ReadsFrom, reads_from_candidates
 from repro.spec.model_spec import MemoryModelSpec
-from repro.spec.parameters import PPO, SEMI_CAUSAL, MutualConsistency, OperationSet
+from repro.spec.parameters import (
+    CAUSAL,
+    PO,
+    PO_LOC,
+    PO_SYNC,
+    PPO,
+    SEMI_CAUSAL,
+    SESSION_COMPONENTS,
+    MutualConsistency,
+    OperationSet,
+    OrderingRule,
+    partition_rule,
+    session_rule,
+)
 
 __all__ = [
     "CompiledConstraints",
     "AttributionPlane",
     "HistoryPlane",
+    "RuleCompiler",
     "SemiCausalRows",
     "ViewPlane",
     "compile_constraints",
@@ -63,6 +80,7 @@ __all__ = [
     "insert_bit",
     "masks_acyclic",
     "restrict_masks",
+    "rule_compiler",
 ]
 
 
@@ -87,6 +105,8 @@ def restrict_masks(masks: Sequence[int], members: Sequence[int]) -> list[int]:
 
     ``members`` lists universe indices in view-contents order; the result
     is the predecessor masks of the restriction, in local bit positions.
+    The definitional form of :meth:`ViewPlane.restrict`, which the search
+    uses.
     """
     out = []
     for gj in members:
@@ -140,6 +160,25 @@ def bracketing_edges(history: SystemHistory, rf: ReadsFrom) -> Relation[Operatio
     return rel
 
 
+def _bracketing_masks(plane: HistoryPlane, src: Mapping[int, int]) -> list[int]:
+    """:func:`bracketing_edges` as predecessor masks, on universe indices."""
+    ops = plane.ops
+    rows = [0] * plane.n
+    for start, end in plane.ranges.values():
+        for j in range(start, end):
+            if ops[j].labeled:
+                continue
+            for i in range(start, j):
+                if ops[i].is_acquire:
+                    isrc = src.get(i, -1)
+                    if isrc >= 0 and isrc != j:
+                        rows[j] |= 1 << isrc
+            for i in range(j + 1, end):
+                if ops[i].is_release:
+                    rows[i] |= 1 << j
+    return rows
+
+
 # -- compiled planes ----------------------------------------------------------
 
 
@@ -151,7 +190,16 @@ class ViewPlane:
     done once per compilation, not once per view.
     """
 
-    __slots__ = ("proc", "members", "op_loc", "read_vals", "write_vals", "n_locs")
+    __slots__ = (
+        "proc",
+        "members",
+        "bits",
+        "pos",
+        "op_loc",
+        "read_vals",
+        "write_vals",
+        "n_locs",
+    )
 
     def __init__(
         self,
@@ -163,6 +211,13 @@ class ViewPlane:
     ) -> None:
         self.proc = proc
         self.members: tuple[int, ...] = tuple(members)
+        #: The members as a universe bitmask, and each member's local
+        #: position by universe index (-1 for non-members).
+        self.bits = 0
+        self.pos = [-1] * len(uni_loc)
+        for k, g in enumerate(self.members):
+            self.bits |= 1 << g
+            self.pos[g] = k
         # Local location ids: ranks of the universe location ids present in
         # this view.  Universe ids follow sorted location-name order, so
         # ranking preserves the sorted-name order the search's memory-state
@@ -178,6 +233,26 @@ class ViewPlane:
             uni_write[g] for g in self.members
         )
 
+    def restrict(self, masks: Sequence[int]) -> list[int]:
+        """Universe masks re-indexed onto this view, in local bit positions.
+
+        Walks only the set bits each member row keeps, through the
+        position table — :func:`restrict_masks` without its members ×
+        members scan.
+        """
+        bits = self.bits
+        pos = self.pos
+        out = []
+        for g in self.members:
+            m = masks[g] & bits
+            local = 0
+            while m:
+                low = m & -m
+                local |= 1 << pos[low.bit_length() - 1]
+                m ^= low
+            out.append(local)
+        return out
+
 
 _UNSET = object()
 
@@ -192,7 +267,9 @@ class HistoryPlane:
     (:func:`history_plane`).  Entries in :attr:`masks` are keyed by an
     ordering rule (or a derived tag) and are populated only under the
     *unique* reads-from attribution, where the attribution-dependent
-    relations collapse to functions of the history.
+    relations collapse to functions of the history; layer 2's forced
+    write orders and their extension lists live there too, under
+    ``("forced", ...)`` and ``("orders", ...)`` tags.
     """
 
     __slots__ = (
@@ -200,6 +277,7 @@ class HistoryPlane:
         "ops",
         "index",
         "n",
+        "locations",
         "uni_loc",
         "uni_read",
         "uni_write",
@@ -216,7 +294,7 @@ class HistoryPlane:
     def __init__(self, history: SystemHistory) -> None:
         self.history = history
         self.ops: tuple[Operation, ...] = history.operations
-        # Keyed by operation *value*, not identity: the engine's relation
+        # Keyed by operation *value*, not identity: a canonical-key relation
         # cache serves one table to value-equal histories (two parses of the
         # same litmus text), so a compiled plane must accept the equal twin's
         # operation objects.  Values are unique within a history (proc,
@@ -227,7 +305,9 @@ class HistoryPlane:
         # slice of these arrays.  Location ids follow sorted location-name
         # order (``history.locations``), matching the per-view inventories
         # the pre-kernel solver derived independently per view.
-        loc_id = {loc: i for i, loc in enumerate(history.locations)}
+        #: Location names by universe location id (sorted).
+        self.locations: tuple[str, ...] = history.locations
+        loc_id = {loc: i for i, loc in enumerate(self.locations)}
         uni_loc: list[int] = []
         uni_read: list[int | None] = []
         uni_write: list[int | None] = []
@@ -426,53 +506,235 @@ def install_plane(history: SystemHistory, plane: HistoryPlane) -> None:
     _plane_cache_insert(history, plane)
 
 
-def _extended_rule_row(
-    rule: Any,
-    old: HistoryPlane,
-    rows: Sequence[int],
-    op: Operation,
-    src: Operation | None,
-) -> int | None:
-    """``op``'s predecessor mask under ``rule``, in *old* universe bits.
+# -- ordering rules on the integer plane ------------------------------------
+#
+# Each registered ordering rule has a mask function: ``build(plane, src)``
+# returns exactly ``rule.build(history, rf, None).pred_masks(ops)`` — the
+# rule's relation as predecessor masks, diagonal clear — computed on the
+# plane's payload arrays, where ``src`` maps each attributed read's index
+# to its source's index (-1 for the initial value).  Rules whose relation
+# is a transitive closure write their direct rows and close them with
+# :func:`close_masks`.  ``extend(old, rows, op, isrc)``, where present,
+# gives the row of an operation appended by the incremental session
+# (see :func:`extend_plane`).  ``tests/property`` pins every function to
+# its rule's relation.
 
-    ``op`` is maximal (appended last on its processor, observed by no
-    read), so its row is a function of the old closed rows plus the
-    direct base edges into it; the old rows themselves are unchanged.
-    Returns ``None`` for rules this extension does not understand.
-    """
+
+class RuleCompiler(NamedTuple):
+    """The integer form of one ordering rule."""
+
+    build: Callable[[HistoryPlane, Mapping[int, int]], list[int]]
+    extend: (
+        Callable[[HistoryPlane, Sequence[int], Operation, int | None], int] | None
+    ) = None
+
+
+def _closed(rows: list[int]) -> list[int]:
+    """Transitive closure with the diagonal cleared (``pred_masks``' form)."""
+    closed = close_masks(rows)
+    for i in range(len(closed)):
+        closed[i] &= ~(1 << i)
+    return closed
+
+
+def po_pair_masks(
+    plane: HistoryPlane, related: Callable[[int, int], bool]
+) -> list[int]:
+    """Rows of the program-order pairs ``(i, j)`` with ``related(i, j)``."""
+    rows = [0] * plane.n
+    for start, end in plane.ranges.values():
+        for j in range(start + 1, end):
+            row = 0
+            for i in range(start, j):
+                if related(i, j):
+                    row |= 1 << i
+            rows[j] = row
+    return rows
+
+
+def _po_masks(plane: HistoryPlane, src: Mapping[int, int]) -> list[int]:
+    rows = [0] * plane.n
+    for start, end in plane.ranges.values():
+        below = (1 << start) - 1
+        for j in range(start, end):
+            rows[j] = ((1 << j) - 1) ^ below
+    return rows
+
+
+def _po_row(
+    old: HistoryPlane, rows: Sequence[int], op: Operation, isrc: int | None
+) -> int:
     start, end = old.ranges.get(op.proc, (0, 0))
-    name = getattr(rule, "name", None)
-    if name == "po":
-        return ((1 << end) - 1) ^ ((1 << start) - 1)
-    if name == "po-loc":
-        row = 0
-        for q in range(start, end):
-            if old.ops[q].location == op.location:
-                row |= 1 << q
-        return row
-    if name == "po-sync":
-        row = 0
-        for q in range(start, end):
-            if old.ops[q].labeled or op.labeled:
-                row |= rows[q] | (1 << q)
-        return row
-    if name == "ppo":
-        from repro.orders.program_order import _ppo_base_condition
+    return ((1 << end) - 1) ^ ((1 << start) - 1)
 
-        row = 0
-        for q in range(start, end):
-            if _ppo_base_condition(old.ops[q], op):
-                row |= rows[q] | (1 << q)
-        return row
-    if name == "causal":
-        row = 0
-        if end > start:
-            row |= rows[end - 1] | (1 << (end - 1))
-        if src is not None:
-            isrc = old.index[src]
-            row |= rows[isrc] | (1 << isrc)
-        return row
-    return None
+
+def _po_loc_masks(plane: HistoryPlane, src: Mapping[int, int]) -> list[int]:
+    loc = plane.uni_loc
+    return po_pair_masks(plane, lambda i, j: loc[i] == loc[j])
+
+
+def _po_loc_row(
+    old: HistoryPlane, rows: Sequence[int], op: Operation, isrc: int | None
+) -> int:
+    start, end = old.ranges.get(op.proc, (0, 0))
+    row = 0
+    for q in range(start, end):
+        if old.ops[q].location == op.location:
+            row |= 1 << q
+    return row
+
+
+def _po_sync_masks(plane: HistoryPlane, src: Mapping[int, int]) -> list[int]:
+    labeled = [op.labeled for op in plane.ops]
+    return _closed(po_pair_masks(plane, lambda i, j: labeled[i] or labeled[j]))
+
+
+def _po_sync_row(
+    old: HistoryPlane, rows: Sequence[int], op: Operation, isrc: int | None
+) -> int:
+    start, end = old.ranges.get(op.proc, (0, 0))
+    row = 0
+    for q in range(start, end):
+        if old.ops[q].labeled or op.labeled:
+            row |= rows[q] | (1 << q)
+    return row
+
+
+def ppo_related(plane: HistoryPlane) -> Callable[[int, int], bool]:
+    """``->ppo``'s direct condition on a program-ordered pair ``(i, j)``.
+
+    Only a write-only operation followed by a read-only one of another
+    location escapes it (RMWs order against everything).
+    """
+    loc = plane.uni_loc
+    read = plane.uni_read
+    write = plane.uni_write
+    return lambda i, j: (
+        loc[i] == loc[j] or read[i] is not None or write[j] is not None
+    )
+
+
+def _ppo_masks(plane: HistoryPlane, src: Mapping[int, int]) -> list[int]:
+    return _closed(po_pair_masks(plane, ppo_related(plane)))
+
+
+def _ppo_row(
+    old: HistoryPlane, rows: Sequence[int], op: Operation, isrc: int | None
+) -> int:
+    start, end = old.ranges.get(op.proc, (0, 0))
+    row = 0
+    for q in range(start, end):
+        if (
+            old.ops[q].location == op.location
+            or old.uni_read[q] is not None
+            or op.is_write
+        ):
+            row |= rows[q] | (1 << q)
+    return row
+
+
+def _causal_masks(plane: HistoryPlane, src: Mapping[int, int]) -> list[int]:
+    rows = _po_masks(plane, src)
+    for ir, isrc in src.items():
+        if isrc >= 0:
+            rows[ir] |= 1 << isrc
+    return _closed(rows)
+
+
+def _causal_row(
+    old: HistoryPlane, rows: Sequence[int], op: Operation, isrc: int | None
+) -> int:
+    start, end = old.ranges.get(op.proc, (0, 0))
+    row = 0
+    if end > start:
+        row |= rows[end - 1] | (1 << (end - 1))
+    if isrc is not None:
+        row |= rows[isrc] | (1 << isrc)
+    return row
+
+
+def _session_masks(
+    components: tuple[str, ...], plane: HistoryPlane, src: Mapping[int, int]
+) -> list[int]:
+    read = [v is not None for v in plane.uni_read]
+    write = [v is not None for v in plane.uni_write]
+    mw = "mw" in components
+    ryw = "ryw" in components
+    mr = "mr" in components
+    rows = po_pair_masks(
+        plane,
+        lambda i, j: (mw and write[i] and write[j])
+        or (ryw and write[i] and read[j])
+        or (mr and read[i] and read[j]),
+    )
+    if "wfr" in components:
+        # A read's source precedes every later write of the reader.
+        for ir, isrc in src.items():
+            if isrc < 0:
+                continue
+            end = plane.ranges[plane.ops[ir].proc][1]
+            for later in range(ir + 1, end):
+                if write[later] and later != isrc:
+                    rows[later] |= 1 << isrc
+    return _closed(rows)
+
+
+def _block_masks(
+    blocks: int, plane: HistoryPlane, src: Mapping[int, int]
+) -> list[int]:
+    # Location ids follow sorted name order, so ``id % blocks`` is
+    # :func:`~repro.spec.parameters.partition_block_map`'s round robin.
+    loc = plane.uni_loc
+    return po_pair_masks(plane, lambda i, j: loc[i] % blocks == loc[j] % blocks)
+
+
+_COMPILERS: dict[Any, RuleCompiler] = {
+    PO.build: RuleCompiler(_po_masks, _po_row),
+    PO_LOC.build: RuleCompiler(_po_loc_masks, _po_loc_row),
+    PO_SYNC.build: RuleCompiler(_po_sync_masks, _po_sync_row),
+    PPO.build: RuleCompiler(_ppo_masks, _ppo_row),
+    CAUSAL.build: RuleCompiler(_causal_masks, _causal_row),
+}
+
+#: The parameterized rule families, by the function their ``build``
+#: partially applies: the mask function takes the same parameters first.
+_FAMILIES: dict[Any, Callable[..., list[int]]] = {
+    session_rule(*SESSION_COMPONENTS).build.func: _session_masks,
+    partition_rule(1).build.func: _block_masks,
+}
+
+
+def rule_compiler(rule: OrderingRule) -> RuleCompiler | None:
+    """The integer form of ``rule``, or ``None`` for an unregistered rule.
+
+    Dispatches on the rule's ``build`` function — what the rule *means* —
+    never on its name, so a custom rule that reuses a registered name
+    keeps its own relation.
+    """
+    build = rule.build
+    if isinstance(build, partial):
+        family = _FAMILIES.get(build.func)
+        if family is None:
+            return None
+        return RuleCompiler(partial(family, *build.args))
+    return _COMPILERS.get(build)
+
+
+def rule_masks(
+    plane: HistoryPlane,
+    rule: OrderingRule,
+    rf: ReadsFrom,
+    src: Mapping[int, int],
+) -> list[int]:
+    """``rule``'s predecessor masks under the attribution ``rf``.
+
+    ``src`` is ``rf`` on universe indices.  Unregistered rules fall back
+    to the relation their ``build`` returns.
+    """
+    compiler = rule_compiler(rule)
+    if compiler is None:
+        return rule.build(plane.history, rf, None).pred_masks(plane.ops)
+    return compiler.build(plane, src)
 
 
 def _extended_bracketing_row(
@@ -588,13 +850,13 @@ def extend_plane(
             rows.insert(pos, insert_bit(row, pos))
             plane.masks[key] = rows
             continue
-        if isinstance(key, tuple) or key == "sem":
-            # Own-view restrictions and the semi-causal rows are cheap to
-            # rebuild on demand from the grown rule rows.
+        compiler = rule_compiler(key) if isinstance(key, OrderingRule) else None
+        if compiler is None or compiler.extend is None:
+            # Own-view restrictions, semi-causal rows, forced write orders
+            # and rules without a row extension are rebuilt on demand.
             continue
-        row_old = _extended_rule_row(key, old, value, op, src if op.is_read else None)
-        if row_old is None:
-            continue
+        isrc = old.index[src] if op.is_read and src is not None else None
+        row_old = compiler.extend(old, value, op, isrc)
         rows = [insert_bit(m, pos) for m in value]
         rows.insert(pos, insert_bit(row_old, pos))
         plane.masks[key] = rows
@@ -621,25 +883,22 @@ class SemiCausalRows(NamedTuple):
 
 
 def _compile_semi_causal(
-    ppo: Sequence[int],
-    rf: ReadsFrom,
-    index: Mapping[Operation, int],
-    write_idx: Sequence[int],
+    ppo: Sequence[int], src: Mapping[int, int], plane: HistoryPlane
 ) -> SemiCausalRows:
     """Compile :class:`SemiCausalRows` from the closed ``->ppo`` rows."""
+    write_idx = plane.write_idx
     writes = 0
     for iw in write_idx:
         writes |= 1 << iw
     rows = list(ppo)
+    names = plane.locations
+    uni_loc = plane.uni_loc
     reads: list[tuple[int, str, int]] = []
-    for r, src in rf.items():
-        ir = index[r]
-        if src is None:
-            reads.append((ir, r.location, -1))
-        else:
-            isrc = index[src]
+    for ir in sorted(src):
+        isrc = src[ir]
+        if isrc >= 0:
             rows[ir] |= ppo[isrc] & writes & ~(1 << isrc)
-            reads.append((ir, r.location, isrc))
+        reads.append((ir, names[uni_loc[ir]], isrc))
     later = [0] * len(ppo)
     for iw in write_idx:
         m = ppo[iw] & writes
@@ -647,10 +906,7 @@ def _compile_semi_causal(
             bit = m & -m
             m ^= bit
             later[bit.bit_length() - 1] |= 1 << iw
-    closed = close_masks(rows)
-    for i in range(len(closed)):
-        closed[i] &= ~(1 << i)
-    return SemiCausalRows(closed, later, tuple(reads))
+    return SemiCausalRows(_closed(rows), later, tuple(reads))
 
 
 class AttributionPlane:
@@ -674,11 +930,40 @@ class AttributionPlane:
     ) -> None:
         self.rf = rf
         spec = cc.spec
-        history = cc.history
+        hp = cc.hp
         # Under the unique attribution every rf-derived relation is a pure
         # function of the history, so the masks are cached on the shared
         # HistoryPlane across the specs that reuse the same ordering rule.
-        cache = cc.hp.masks if unique else None
+        cache = hp.masks if unique else None
+        #: Per universe index of a read: index of its source write, or -1
+        #: for an initial-value read.  Non-reads are absent.
+        self.src_idx: dict[int, int]
+        #: Attribution-forced edges used by incremental-legality propagation
+        #: (sound only under the unambiguous attribution, which the search
+        #: checks first): ``src -> read``, and an initial-value read before
+        #: every write to its location.
+        self.prop: list[int]
+        if cache is not None and "prop" in cache:
+            self.src_idx, self.prop = cache["prop"]
+        else:
+            self.src_idx = {}
+            prop = [0] * cc.n
+            for r, src in rf.items():
+                ir = cc.index[r]
+                if src is None:
+                    self.src_idx[ir] = -1
+                    bit = 1 << ir
+                    for iw in cc.writers_by_loc.get(r.location, ()):
+                        if iw != ir:
+                            prop[iw] |= bit
+                else:
+                    isrc = cc.index[src]
+                    self.src_idx[ir] = isrc
+                    if isrc != ir:
+                        prop[ir] |= 1 << isrc
+            self.prop = prop
+            if cache is not None:
+                cache["prop"] = (self.src_idx, prop)
         #: Static ordering pred masks; ``None`` when the ordering needs a
         #: coherence order and is completed per mutual candidate from
         #: :attr:`sem`.
@@ -695,25 +980,13 @@ class AttributionPlane:
             if cache is not None and "sem" in cache:
                 self.sem = cache["sem"]
             else:
-                if cache is not None and PPO in cache:
-                    ppo = cache[PPO]
-                else:
-                    ppo = PPO.build(history, rf, None).pred_masks(cc.ops)
-                    if cache is not None:
-                        cache[PPO] = ppo
-                self.sem = _compile_semi_causal(
-                    ppo, rf, cc.index, cc.hp.write_idx
-                )
+                ppo = _cached_rule(hp, PPO, rf, self.src_idx, cache)
+                self.sem = _compile_semi_causal(ppo, self.src_idx, hp)
                 if cache is not None:
                     cache["sem"] = self.sem
         else:
             rule = spec.ordering
-            if cache is not None and rule in cache:
-                self.ordering = cache[rule]
-            else:
-                self.ordering = rule.build(history, rf, None).pred_masks(cc.ops)
-                if cache is not None:
-                    cache[rule] = self.ordering
+            self.ordering = _cached_rule(hp, rule, rf, self.src_idx, cache)
             if spec.ordering_own_view_only:
                 key = (rule, "own")
                 if cache is not None and key in cache:
@@ -727,36 +1000,26 @@ class AttributionPlane:
             if cache is not None and "bracketing" in cache:
                 self.bracketing = cache["bracketing"]
             else:
-                self.bracketing = bracketing_edges(history, rf).pred_masks(cc.ops)
+                self.bracketing = _bracketing_masks(hp, self.src_idx)
                 if cache is not None:
                     cache["bracketing"] = self.bracketing
-        if cache is not None and "prop" in cache:
-            self.src_idx, self.prop = cache["prop"]
-            return
-        #: Per universe index of a read: index of its source write, or -1
-        #: for an initial-value read.  Non-reads are absent.
-        self.src_idx: dict[int, int] = {}
-        #: Attribution-forced edges used by incremental-legality propagation
-        #: (sound only under the unambiguous attribution — the driver gates):
-        #: ``src -> read``, and an initial-value read before every write to
-        #: its location.
-        prop = [0] * cc.n
-        for r, src in rf.items():
-            ir = cc.index[r]
-            if src is None:
-                self.src_idx[ir] = -1
-                bit = 1 << ir
-                for iw in cc.writers_by_loc.get(r.location, ()):
-                    if iw != ir:
-                        prop[iw] |= bit
-            else:
-                isrc = cc.index[src]
-                self.src_idx[ir] = isrc
-                if isrc != ir:
-                    prop[ir] |= 1 << isrc
-        self.prop = prop
-        if cache is not None:
-            cache["prop"] = (self.src_idx, prop)
+
+
+
+def _cached_rule(
+    hp: HistoryPlane,
+    rule: OrderingRule,
+    rf: ReadsFrom,
+    src: Mapping[int, int],
+    cache: dict | None,
+) -> list[int]:
+    """``rule``'s masks for one attribution, through the plane cache."""
+    if cache is not None and rule in cache:
+        return cache[rule]
+    masks = rule_masks(hp, rule, rf, src)
+    if cache is not None:
+        cache[rule] = masks
+    return masks
 
 
 class CompiledConstraints:
@@ -847,7 +1110,7 @@ class CompiledConstraints:
     def ordering_masks(
         self,
         plane: AttributionPlane,
-        coherence: Mapping[str, tuple[Operation, ...]] | None,
+        coherence: Mapping[str, tuple[int, ...]] | None,
     ) -> list[int] | None:
         """The ordering's predecessor masks under one mutual candidate.
 
@@ -866,7 +1129,6 @@ class CompiledConstraints:
             return plane.ordering
         assert coherence is not None  # spec validation: sem needs write orders
         closed, later, reads = sem
-        index = self.index
         # Per location, suffix ORs of ``later`` along the coherence chain:
         # ``tail[loc][k]`` covers every write from position ``k`` on.
         pos: dict[int, int] = {}
@@ -875,7 +1137,7 @@ class CompiledConstraints:
             suffix = [0] * (len(chain) + 1)
             acc = 0
             for k in range(len(chain) - 1, -1, -1):
-                iw = index[chain[k]]
+                iw = chain[k]
                 pos[iw] = k
                 acc |= later[iw]
                 suffix[k] = acc
@@ -914,7 +1176,7 @@ class CompiledConstraints:
     def _base_masks(
         self,
         plane: AttributionPlane,
-        chains: tuple[tuple[Operation, ...], ...],
+        chains: tuple[tuple[int, ...], ...],
         ordering: Sequence[int] | None,
     ) -> tuple[list[int], dict[Any, list[int]] | None]:
         """The raw (unclosed, ungated) base masks of one mutual candidate."""
@@ -933,7 +1195,7 @@ class CompiledConstraints:
             assert ordering is not None
             masks = list(ordering)
         for chain in chains:
-            chain_masks(masks, (self.index[op] for op in chain))
+            chain_masks(masks, chain)
         if plane.bracketing is not None:
             for i in range(self.n):
                 masks[i] |= plane.bracketing[i]
@@ -942,7 +1204,7 @@ class CompiledConstraints:
     def assemble_base(
         self,
         plane: AttributionPlane,
-        chains: tuple[tuple[Operation, ...], ...],
+        chains: tuple[tuple[int, ...], ...],
         ordering: Sequence[int] | None = None,
     ) -> tuple[list[int], dict[Any, list[int]] | None] | None:
         """Cross-view constraints for one mutual candidate, closed, or ``None``.
@@ -967,7 +1229,7 @@ class CompiledConstraints:
     def base_acyclic(
         self,
         plane: AttributionPlane,
-        chains: tuple[tuple[Operation, ...], ...],
+        chains: tuple[tuple[int, ...], ...],
         ordering: Sequence[int] | None = None,
     ) -> bool:
         """Whether :meth:`assemble_base` would pass its acyclicity gate.
@@ -983,18 +1245,15 @@ class CompiledConstraints:
         """Universe masks of a labeled-discipline candidate (layer 2)."""
         if extra is None:
             return None
-        masks = [0] * self.n
+        masks = [0] * self.n if extra.masks is None else list(extra.masks)
         for chain in extra.chains:
-            chain_masks(masks, (self.index[op] for op in chain))
-        if extra.relation is not None:
-            for i, m in enumerate(extra.relation.pred_masks(self.ops)):
-                masks[i] |= m
+            chain_masks(masks, chain)
         return masks
 
     def candidate_propagation(
         self,
         plane: AttributionPlane,
-        coherence: Mapping[str, tuple[Operation, ...]] | None,
+        coherence: Mapping[str, tuple[int, ...]] | None,
     ) -> list[int]:
         """Propagation masks for one candidate: rf edges + coherence successors.
 
@@ -1013,7 +1272,7 @@ class CompiledConstraints:
         succ: dict[int, int] = {}
         for chain in coherence.values():
             for a, b in zip(chain, chain[1:]):
-                succ[self.index[a]] = self.index[b]
+                succ[a] = b
         for ir, isrc in plane.src_idx.items():
             if isrc < 0:
                 continue
@@ -1037,6 +1296,6 @@ def compile_constraints(
         return CompiledConstraints(spec, history)
     return memo.fetch(
         history,
-        f"kernel:{spec.cache_key}",
+        ("kernel", spec.cache_key),
         lambda: CompiledConstraints(spec, history),
     )

@@ -195,7 +195,8 @@ class HistoryStream:
 class _FailureMemory:
     """Per-spec memory of how each mutual candidate failed on the prefix.
 
-    Keys are candidate chains as ``uid`` tuples.  :attr:`memory` holds the
+    Keys are candidate chains as ``uid`` tuples (candidates carry universe
+    indices, which shift on append; uids do not).  :attr:`memory` holds the
     last *completed* search's failures, keyed as of that search's history;
     :attr:`strip` holds the uids appended since, so a current candidate is
     matched against the memory by stripping those uids from its chains
@@ -204,9 +205,11 @@ class _FailureMemory:
     (unstripped) keys and swaps them in on :meth:`commit`.
     """
 
-    __slots__ = ("memory", "strip", "fresh", "hits", "misses", "started")
+    __slots__ = ("memory", "strip", "fresh", "hits", "misses", "started", "uids")
 
     def __init__(self) -> None:
+        #: The uid of each universe index of the running search.
+        self.uids: list[tuple[Any, int]] = []
         self.memory: dict[tuple, str] = {}
         self.strip: set[tuple[Any, int]] = set()
         self.fresh: dict[tuple, str] = {}
@@ -216,8 +219,9 @@ class _FailureMemory:
 
     # -- the reuse-hook protocol the search drives -----------------------------
 
-    def start(self) -> None:
-        """The driver entered its candidate enumeration."""
+    def start(self, ops: tuple[Operation, ...]) -> None:
+        """The search entered its candidate enumeration over ``ops``."""
+        self.uids = [op.uid for op in ops]
         self.fresh = {}
         self.hits = 0
         self.misses = 0
@@ -225,8 +229,9 @@ class _FailureMemory:
 
     def lookup(self, cand: Any) -> str | None:
         """The prefix's failure mode for ``cand``, or ``None`` if unknown."""
+        uids = self.uids
         key = tuple(
-            tuple(op.uid for op in chain if op.uid not in self.strip)
+            tuple(uids[i] for i in chain if uids[i] not in self.strip)
             for chain in cand.chains
         )
         mode = self.memory.get(key)
@@ -274,9 +279,9 @@ class _FailureMemory:
         self.strip.clear()
         self.started = False
 
-    @staticmethod
-    def _full_key(cand: Any) -> tuple:
-        return tuple(tuple(op.uid for op in chain) for chain in cand.chains)
+    def _full_key(self, cand: Any) -> tuple:
+        uids = self.uids
+        return tuple(tuple(uids[i] for i in chain) for chain in cand.chains)
 
 
 class IncrementalCheck:

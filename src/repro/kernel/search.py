@@ -44,11 +44,14 @@ from repro.kernel.constraints import (
     compile_constraints,
     history_plane,
     masks_acyclic,
-    restrict_masks,
 )
 from repro.kernel.results import CheckResult, Counterexample, Witness
 from repro.kernel.rf import impossible_read, iter_attributions
-from repro.kernel.serializations import iter_labeled_extras, iter_mutual_candidates
+from repro.kernel.serializations import (
+    coherence_operations,
+    iter_labeled_extras,
+    iter_mutual_candidates,
+)
 from repro.obs.events import (
     AttributionTried,
     Backtracked,
@@ -74,6 +77,7 @@ __all__ = [
     "explain_with_spec",
     "find_legal_extension",
     "iter_legal_extensions",
+    "iter_legal_orders",
     "count_legal_extensions",
 ]
 
@@ -178,18 +182,10 @@ def _dfs_find(
 # -- legal-extension API ------------------------------------------------------
 
 
-def _prepare(
-    ops: Sequence[Operation], constraints: Relation[Operation]
-) -> tuple[list[int], list[int], list[int | None], list[int | None], int] | None:
-    """Masks and payloads for an ad-hoc operation set, or ``None`` if cyclic."""
-    n = len(ops)
-    if n > _MAX_OPS:
-        raise CheckerError(
-            f"view of {n} operations exceeds the {_MAX_OPS}-operation solver limit"
-        )
-    pred = constraints.pred_masks(ops)
-    if not masks_acyclic(pred, n):
-        return None
+def _payloads(
+    ops: Sequence[Operation],
+) -> tuple[list[int], list[int | None], list[int | None], int]:
+    """Location ids and read/write values of an ad-hoc operation set."""
     loc_names = sorted({op.location for op in ops})
     loc_index = {loc: i for i, loc in enumerate(loc_names)}
     op_loc = [loc_index[op.location] for op in ops]
@@ -199,7 +195,21 @@ def _prepare(
     write_vals: list[int | None] = [
         op.value_written if op.is_write else None for op in ops
     ]
-    return pred, op_loc, read_vals, write_vals, len(loc_names)
+    return op_loc, read_vals, write_vals, len(loc_names)
+
+
+def _prepare(
+    ops: Sequence[Operation], pred: Sequence[int]
+) -> tuple[Sequence[int], list[int], list[int | None], list[int | None], int] | None:
+    """Masks and payloads for an ad-hoc operation set, or ``None`` if cyclic."""
+    n = len(ops)
+    if n > _MAX_OPS:
+        raise CheckerError(
+            f"view of {n} operations exceeds the {_MAX_OPS}-operation solver limit"
+        )
+    if not masks_acyclic(pred, n):
+        return None
+    return (pred, *_payloads(ops))
 
 
 def find_legal_extension(
@@ -226,7 +236,7 @@ def find_legal_extension(
         results but revisits dead states exponentially often on
         unsatisfiable instances (see bench_ablation.py).
     """
-    prep = _prepare(ops, constraints)
+    prep = _prepare(ops, constraints.pred_masks(ops))
     if prep is None:
         return None
     pred, op_loc, read_vals, write_vals, n_locs = prep
@@ -251,11 +261,40 @@ def iter_legal_extensions(
     branches that must all be enumerated, so it is exponential even on
     *successful* instances; ``limit`` bounds the number of yields.
     """
-    prep = _prepare(ops, constraints)
+    for order in iter_legal_orders(
+        ops, constraints.pred_masks(ops), initial=initial, limit=limit
+    ):
+        yield [ops[i] for i in order]
+
+
+def iter_legal_orders(
+    ops: Sequence[Operation],
+    pred: Sequence[int],
+    *,
+    initial: int = INITIAL_VALUE,
+    limit: int | None = None,
+):
+    """:func:`iter_legal_extensions` on predecessor masks over ``ops``.
+
+    Yields each legal extension as a list of positions in ``ops``.
+    """
+    prep = _prepare(ops, pred)
     if prep is None:
         return
-    pred, op_loc, read_vals, write_vals, n_locs = prep
-    n = len(ops)
+    yield from _iter_legal(len(ops), *prep, initial, limit)
+
+
+def _iter_legal(
+    n: int,
+    pred: Sequence[int],
+    op_loc: Sequence[int],
+    read_vals: Sequence[int | None],
+    write_vals: Sequence[int | None],
+    n_locs: int,
+    initial: int,
+    limit: int | None = None,
+):
+    """Every legal extension as a list of local indices, in index order."""
     full = (1 << n) - 1
     order: list[int] = []
     yielded = 0
@@ -266,7 +305,7 @@ def iter_legal_extensions(
             return
         if placed == full:
             yielded += 1
-            yield [ops[i] for i in order]
+            yield list(order)
             return
         for i in range(n):
             bit = 1 << i
@@ -427,7 +466,7 @@ def _try_candidate(
         sink.emit(PropagationApplied(edges=sum(m.bit_count() for m in prop)))
     n_extra = 0
     for extra in iter_labeled_extras(
-        spec, history, rf, cand.coherence, budget.max_labeled_orders
+        spec, history, rf, cand, budget.max_labeled_orders
     ):
         explored += 1
         if explored > budget.max_serializations:
@@ -440,7 +479,7 @@ def _try_candidate(
             order = extra.chains[0] if extra.chains else ()
             sink.emit(
                 LabeledExtraTried(
-                    index=n_extra, order=tuple(str(op) for op in order)
+                    index=n_extra, order=tuple(str(cc.ops[i]) for i in order)
                 )
             )
         extra_m = cc.extra_masks(extra)
@@ -458,7 +497,9 @@ def _try_candidate(
                 views=views,
                 explored=explored,
                 witness=Witness(
-                    views=views, reads_from=rf, coherence=cand.coherence
+                    views=views,
+                    reads_from=rf,
+                    coherence=coherence_operations(cand, cc.ops),
                 ),
             )
     return explored, None
@@ -490,7 +531,7 @@ def _search_candidates(
         # the keys would collide across them.
         reuse = None
     if reuse is not None:
-        reuse.start()
+        reuse.start(cc.ops)
     explored = 0
     attributions = (
         (unique_rf,)
@@ -521,7 +562,8 @@ def _search_candidates(
                     CandidateTried(
                         index=n_cand,
                         chains=tuple(
-                            tuple(str(op) for op in chain) for chain in cand.chains
+                            tuple(str(cc.ops[i]) for i in chain)
+                            for chain in cand.chains
                         ),
                     )
                 )
@@ -679,7 +721,7 @@ def _solve_views(
                 f"view of {v} operations exceeds the "
                 f"{_MAX_OPS}-operation solver limit"
             )
-        local = restrict_masks(masks, vp.members)
+        local = vp.restrict(masks)
         if not masks_acyclic(local, v):
             if sink is not None:
                 sink.emit(ViewStuck(proc=str(proc), reason="constraint-cycle"))
@@ -750,7 +792,7 @@ def _first_failure(
                 cc.candidate_propagation(plane, cand.coherence) if propagate else None
             )
             for extra in iter_labeled_extras(
-                spec, history, rf, cand.coherence, budget.max_labeled_orders
+                spec, history, rf, cand, budget.max_labeled_orders
             ):
                 extra_m = cc.extra_masks(extra)
                 return _stuck_view_counterexample(
@@ -778,14 +820,15 @@ def _cyclic_counterexample(
     """Reconstruct the cycle of the first candidate on the relation plane."""
     from repro.kernel.constraints import bracketing_edges
 
-    rel = spec.ordering.build(history, rf, cand.coherence)
-    combined: Relation[Operation] = Relation(history.operations)
+    ops = history.operations
+    rel = spec.ordering.build(history, rf, coherence_operations(cand, ops))
+    combined: Relation[Operation] = Relation(ops)
     if not spec.ordering_own_view_only:
         combined = combined.union(rel)
     for chain in cand.chains:
         for i, a in enumerate(chain):
             for b in chain[i + 1:]:
-                combined.add(a, b)
+                combined.add(ops[a], ops[b])
     if spec.bracketing:
         combined = combined.union(bracketing_edges(history, rf))
     cycle = combined.find_cycle() or []
@@ -819,7 +862,7 @@ def _stuck_view_counterexample(
             probes.append((proc, cc.views[proc], masks))
     for proc, vp, masks in probes:
         members = vp.members
-        local = restrict_masks(masks, members)
+        local = vp.restrict(masks)
         v = len(members)
         # The deepest dead end of the failing search: the partial view with
         # the most operations placed from which no operation can be placed

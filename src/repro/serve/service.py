@@ -3,11 +3,10 @@
 :class:`CheckService` is everything the HTTP layer is not: it resolves
 submitted histories (litmus text, catalog names, or wire dicts), keys
 each job by a content hash of ``(canonical history, model set)``, runs
-checks on a thread pool whose threads each hold a warm
-:class:`~repro.engine.cache.RelationCache`, lands every verdict in a
-result store (either backend of :func:`repro.engine.sqlstore.open_store`),
-and answers repeat submissions from the store or the in-memory result
-cache instead of re-searching.
+checks on a thread pool, lands every verdict in a result store (either
+backend of :func:`repro.engine.sqlstore.open_store`), and answers repeat
+submissions from the store or the in-memory result cache instead of
+re-searching.
 
 Sweeps are *async jobs*: submission returns a job id immediately (itself
 content-addressed, so resubmitting a finished sweep returns its report),
@@ -58,11 +57,9 @@ from repro.core.serialization import (
     history_to_dict,
 )
 from repro.engine import CheckEngine, SweepSpec, open_store
-from repro.engine.cache import RelationCache
 from repro.engine.session import EngineSession
 from repro.kernel.constraints import plane_cache_stats
 from repro.obs.sink import SessionStatsSink, tracing
-from repro.orders.memo import relation_memo
 
 __all__ = [
     "CheckService",
@@ -239,7 +236,6 @@ class CheckService:
             max_workers=max(1, self.config.workers),
             thread_name_prefix="repro-serve",
         )
-        self._thread_state = threading.local()
         self._results: OrderedDict[str, dict] = OrderedDict()
         self._results_lock = threading.Lock()
         self._jobs: dict[str, Job] = {}
@@ -286,13 +282,6 @@ class CheckService:
 
     # -- the worker body ---------------------------------------------------------
 
-    def _cache(self) -> RelationCache:
-        cache = getattr(self._thread_state, "cache", None)
-        if cache is None:
-            cache = RelationCache()
-            self._thread_state.cache = cache
-        return cache
-
     def _run_check(
         self, key: str, history: SystemHistory, models: tuple[str, ...]
     ) -> dict:
@@ -302,15 +291,14 @@ class CheckService:
         results: dict[str, dict] = {}
         verdicts: dict[str, bool] = {}
         explored: dict[str, int] = {}
-        with relation_memo(self._cache()):
-            for name in models:
-                t0 = time.perf_counter()
-                result = MODELS[name].check(history)
-                seconds = time.perf_counter() - t0
-                results[name] = check_result_to_dict(result)
-                verdicts[name] = result.allowed
-                explored[name] = result.explored
-                self._note_verdict(name, result.allowed, seconds)
+        for name in models:
+            t0 = time.perf_counter()
+            result = MODELS[name].check(history)
+            seconds = time.perf_counter() - t0
+            results[name] = check_result_to_dict(result)
+            verdicts[name] = result.allowed
+            explored[name] = result.explored
+            self._note_verdict(name, result.allowed, seconds)
         views = {
             name: d["views"]
             for name, d in results.items()

@@ -107,23 +107,25 @@ class MemoryModelSpec:
         return self.labeled_discipline is not None
 
     @property
-    def cache_key(self) -> str:
-        """Stable identity of the spec's *parameters* (not its name).
+    def cache_key(self) -> tuple:
+        """Identity of the spec's *parameters* (not its name).
 
         Two specs with equal parameters compile to the same constraint
-        kernel, so the engine's compiled-constraint cache keys on this
-        rather than on the display name.
+        kernel, so the kernel's compiled-constraint memo keys on this
+        rather than on the display name.  The key is the parameter values
+        themselves — the ordering enters as the rule object, so two rules
+        that share a name but not a relation never alias — which makes
+        equal keys and equal parameters the same thing.
         """
-        parts = [
-            self.operation_set.value,
-            self.mutual_consistency.value,
-            self.ordering.name,
-            self.labeled_discipline.value if self.labeled_discipline else "-",
-            "brk" if self.bracketing else "-",
-            "own" if self.ordering_own_view_only else "-",
-            str(self.partition_blocks) if self.partition_blocks else "-",
-        ]
-        return "/".join(parts)
+        return (
+            self.operation_set,
+            self.mutual_consistency,
+            self.ordering,
+            self.labeled_discipline,
+            self.bracketing,
+            self.ordering_own_view_only,
+            self.partition_blocks,
+        )
 
     def __str__(self) -> str:
         parts = [

@@ -94,4 +94,3 @@ class TestEnginePath:
             h = random_history(rng, procs=2, ops_per_proc=3)
             assert accepting_models(h, engine=engine) == accepting_models(h)
             assert strength_frontier(h, engine=engine) == strength_frontier(h)
-        assert engine.cache.hit_rate > 0

@@ -63,14 +63,14 @@ class TestTSO:
         assert not check_tso(h_bad).allowed
 
     def test_ppo_derived_once_per_check(self, monkeypatch):
-        # The greedy placement reuses the caller's ->ppo for every
-        # processor of every write order instead of re-closing it.
+        # The greedy placement reuses the plane's ->ppo rows for every
+        # processor of every write order instead of re-closing them.
         import repro.checking.tso as tso
 
         calls = []
-        real = tso.ppo_relation
+        real = tso.rule_masks
         monkeypatch.setattr(
-            tso, "ppo_relation", lambda h: calls.append(h) or real(h)
+            tso, "rule_masks", lambda *args: calls.append(args) or real(*args)
         )
         h = parse_history(
             "p: w(x)1 r(y)0 w(z)1 | q: w(y)1 r(z)0 w(x)2 | r: r(x)2 r(x)1"

@@ -335,3 +335,30 @@ def test_deny_is_sticky_under_non_rescuing_appends():
         (op,) = parse_history(text).operations
         result = inc.append(op)
         assert not result.allowed
+
+
+def test_custom_rule_sharing_a_registered_name_keeps_its_own_rows():
+    """Plane growth dispatches on the rule object, not on its name.
+
+    ``NoOrder`` names its empty ordering ``"po"``.  Growing the cached
+    rows by name handed it program order's row on every append, so the
+    session denied the coherence violation that the rule does not forbid.
+    """
+    from dataclasses import replace
+
+    from repro.orders.relation import Relation
+    from repro.spec.parameters import OrderingRule
+    from repro.spec.registry import get_spec
+
+    spec = replace(
+        get_spec("PRAM"),
+        name="NoOrder",
+        ordering=OrderingRule("po", lambda h, rf, co: Relation(h.operations)),
+    )
+    history = parse_history("p: w(x)1 w(x)2 | q: r(x)2 r(x)1")
+    session = IncrementalCheck(spec)
+    for op in history.operations:
+        result = session.append(op)
+    fresh = check_with_spec(spec, history)  # its own plane, never grown
+    assert fresh.allowed
+    assert fingerprint(result) == fingerprint(fresh)

@@ -69,10 +69,11 @@ def assert_compiled_sem_matches(h):
     for rf in iter_attributions(h, 4096):
         plane = cc.plane(rf, unique)
         for co in enumerate_coherence_orders(h):
-            got = cc.ordering_masks(plane, co)
+            co_idx = {loc: tuple(cc.index[w] for w in c) for loc, c in co.items()}
+            got = cc.ordering_masks(plane, co_idx)
             want = sem_relation(h, rf, co).pred_masks(cc.ops)
             assert got == want, f"{co} under {rf}:\n{h}"
-            chains = tuple(co.values())
+            chains = tuple(co_idx.values())
             assert cc.assemble_base(plane, chains, got) == cc.assemble_base(
                 plane, chains, want
             )
