@@ -4,8 +4,10 @@
 installed, ``check_with_spec`` runs the same search it ran before the
 instrumentation landed.  Two properties keep that promise honest:
 
-* the inner DFS is the one ``_dfs_find``; untraced, its only added cost
-  is an ``is None`` test at each placement and each backtrack;
+* the inner DFS is the one ``_dfs_find``, an explicit-stack loop over
+  universe indices; untraced, its only added cost is an ``is None``
+  test at each placement and each backtrack (a child state already
+  memoized as failed counts as both);
 * every other emission sits behind an ``if sink is not None`` guard, and
   the public entry point resolves the process-global sink exactly once.
 

@@ -49,41 +49,51 @@ def check_pram(history: SystemHistory) -> CheckResult:
 def _legal_merge(
     streams: tuple[tuple[Operation, ...], ...]
 ) -> list[Operation] | None:
-    """A legal interleaving consuming each stream in order, or ``None``."""
+    """A legal interleaving consuming each stream in order, or ``None``.
+
+    Depth-first over (per-stream positions, memory state) with an explicit
+    stack, so a view of any length merges without recursion.
+    """
     k = len(streams)
     lens = tuple(len(s) for s in streams)
     failed: set[tuple[tuple[int, ...], tuple[tuple[str, int], ...]]] = set()
     out: list[Operation] = []
-
-    def dfs(positions: tuple[int, ...], state: dict[str, int]) -> bool:
-        if positions == lens:
-            return True
+    # One frame per placed operation: the state it was placed from, the
+    # stream it came from, and the location value it overwrote.
+    stack: list[tuple[tuple[int, ...], tuple, int, int | None]] = []
+    positions = tuple([0] * k)
+    state: dict[str, int] = {}
+    while positions != lens:
+        # A new state: a memoized failure backs out at once.
         key = (positions, tuple(sorted(state.items())))
-        if key in failed:
-            return False
-        for i in range(k):
-            pos = positions[i]
-            if pos >= lens[i]:
-                continue
-            op = streams[i][pos]
-            if op.is_read and state.get(op.location, INITIAL_VALUE) != op.value_read:
-                continue
-            undo = state.get(op.location)
-            if op.is_write:
-                state[op.location] = op.value_written
-            out.append(op)
-            next_positions = positions[:i] + (pos + 1,) + positions[i + 1:]
-            if dfs(next_positions, state):
-                return True
-            out.pop()
+        i = k if key in failed else 0
+        while True:
+            while i < k:
+                pos = positions[i]
+                if pos < lens[i]:
+                    op = streams[i][pos]
+                    if not op.is_read or (
+                        state.get(op.location, INITIAL_VALUE) == op.value_read
+                    ):
+                        break
+                i += 1
+            if i < k:
+                break
+            failed.add(key)
+            if not stack:
+                return None
+            positions, key, i, undo = stack.pop()
+            op = out.pop()
             if op.is_write:
                 if undo is None:
                     del state[op.location]
                 else:
                     state[op.location] = undo
-        failed.add(key)
-        return False
-
-    if dfs(tuple([0] * k), {}):
-        return out
-    return None
+            i += 1
+        undo = state.get(op.location)
+        if op.is_write:
+            state[op.location] = op.value_written
+        out.append(op)
+        stack.append((positions, key, i, undo))
+        positions = positions[:i] + (pos + 1,) + positions[i + 1:]
+    return out

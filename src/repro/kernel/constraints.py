@@ -25,8 +25,8 @@ attribution (:class:`AttributionPlane`, one per enumerated attribution and
 cached for the unambiguous one).
 
 Mask conventions: ``masks[j]`` bit ``i`` set means *operation i must precede
-operation j*.  :func:`close_masks` is a bitset Floyd–Warshall transitive
-closure; :func:`masks_acyclic` a Kahn peeling test.  Both live with the
+operation j*.  :func:`close_masks` is a bitset transitive closure;
+:func:`masks_acyclic` a Kahn peeling test.  Both live with the one-pass
 candidate gate in :mod:`repro.kernel.backend` and replace the
 ``Relation``-object churn the pre-kernel solver paid per candidate.
 """
@@ -105,8 +105,9 @@ def restrict_masks(masks: Sequence[int], members: Sequence[int]) -> list[int]:
 
     ``members`` lists universe indices in view-contents order; the result
     is the predecessor masks of the restriction, in local bit positions.
-    The definitional form of :meth:`ViewPlane.restrict`, which the search
-    uses.
+    The view search never builds it: it marks non-members as placed
+    instead (see :func:`repro.kernel.search._dfs_find`).  This is the
+    reference that form is tested against.
     """
     out = []
     for gj in members:
@@ -183,75 +184,22 @@ def _bracketing_masks(plane: HistoryPlane, src: Mapping[int, int]) -> list[int]:
 
 
 class ViewPlane:
-    """One processor's static view data: membership and legality payloads.
+    """One processor's view: its members in try order, and as a bitmask.
 
-    Built by slicing the universe payload arrays of the owning
-    :class:`CompiledConstraints` — the per-operation classification work is
-    done once per compilation, not once per view.
+    The view search runs on universe indices and the universe payload
+    arrays of the owning :class:`HistoryPlane`; a view only names which
+    operations it searches, and in what order it tries them.
     """
 
-    __slots__ = (
-        "proc",
-        "members",
-        "bits",
-        "pos",
-        "op_loc",
-        "read_vals",
-        "write_vals",
-        "n_locs",
-    )
+    __slots__ = ("proc", "members", "bits")
 
-    def __init__(
-        self,
-        proc: Any,
-        members: Sequence[int],
-        uni_loc: Sequence[int],
-        uni_read: Sequence[int | None],
-        uni_write: Sequence[int | None],
-    ) -> None:
+    def __init__(self, proc: Any, members: Sequence[int]) -> None:
         self.proc = proc
         self.members: tuple[int, ...] = tuple(members)
-        #: The members as a universe bitmask, and each member's local
-        #: position by universe index (-1 for non-members).
+        #: The members as a universe bitmask.
         self.bits = 0
-        self.pos = [-1] * len(uni_loc)
-        for k, g in enumerate(self.members):
-            self.bits |= 1 << g
-            self.pos[g] = k
-        # Local location ids: ranks of the universe location ids present in
-        # this view.  Universe ids follow sorted location-name order, so
-        # ranking preserves the sorted-name order the search's memory-state
-        # tuples are laid out in.
-        present = sorted({uni_loc[g] for g in self.members})
-        rank = {u: i for i, u in enumerate(present)}
-        self.n_locs = len(present)
-        self.op_loc: tuple[int, ...] = tuple(rank[uni_loc[g]] for g in self.members)
-        self.read_vals: tuple[int | None, ...] = tuple(
-            uni_read[g] for g in self.members
-        )
-        self.write_vals: tuple[int | None, ...] = tuple(
-            uni_write[g] for g in self.members
-        )
-
-    def restrict(self, masks: Sequence[int]) -> list[int]:
-        """Universe masks re-indexed onto this view, in local bit positions.
-
-        Walks only the set bits each member row keeps, through the
-        position table — :func:`restrict_masks` without its members ×
-        members scan.
-        """
-        bits = self.bits
-        pos = self.pos
-        out = []
         for g in self.members:
-            m = masks[g] & bits
-            local = 0
-            while m:
-                low = m & -m
-                local |= 1 << pos[low.bit_length() - 1]
-                m ^= low
-            out.append(local)
-        return out
+            self.bits |= 1 << g
 
 
 _UNSET = object()
@@ -357,23 +305,15 @@ class HistoryPlane:
                     remote = [i for i in range(self.n) if i < start or i >= end]
                 else:
                     remote = [i for i in self.write_idx if i < start or i >= end]
-                cached[proc] = ViewPlane(
-                    proc,
-                    list(range(start, end)) + remote,
-                    self.uni_loc,
-                    self.uni_read,
-                    self.uni_write,
-                )
+                cached[proc] = ViewPlane(proc, list(range(start, end)) + remote)
             self._views[operation_set] = cached
         return cached
 
     @property
     def universe_plane(self) -> ViewPlane:
-        """Payloads for the whole-universe search of IDENTICAL models."""
+        """The whole universe as one view, for IDENTICAL models."""
         if self._universe_plane is None:
-            self._universe_plane = ViewPlane(
-                None, range(self.n), self.uni_loc, self.uni_read, self.uni_write
-            )
+            self._universe_plane = ViewPlane(None, range(self.n))
         return self._universe_plane
 
     @property
@@ -1066,7 +1006,7 @@ class CompiledConstraints:
 
     @property
     def universe_plane(self) -> ViewPlane:
-        """Payloads for the whole-universe search of IDENTICAL models."""
+        """The whole universe as one view, for IDENTICAL models."""
         return self.hp.universe_plane
 
     # -- attribution planes ----------------------------------------------------

@@ -33,17 +33,17 @@ All fast paths and all experiments use distinct values.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.core.errors import CheckerError
 from repro.core.history import SystemHistory
 from repro.core.operation import INITIAL_VALUE, Operation
 from repro.core.view import View
+from repro.kernel.backend import masks_acyclic, masks_acyclic_within
 from repro.kernel.constraints import (
     CompiledConstraints,
     compile_constraints,
     history_plane,
-    masks_acyclic,
 )
 from repro.kernel.results import CheckResult, Counterexample, Witness
 from repro.kernel.rf import impossible_read, iter_attributions
@@ -115,6 +115,8 @@ class SearchBudget:
 def _dfs_find(
     n: int,
     pred: Sequence[int],
+    members: Sequence[int],
+    outside: int,
     op_loc: Sequence[int],
     read_vals: Sequence[int | None],
     write_vals: Sequence[int | None],
@@ -126,57 +128,77 @@ def _dfs_find(
     render: Sequence[str] = (),
     on_fail: Callable[[int, tuple[int, ...]], None] | None = None,
 ) -> list[int] | None:
-    """One legal extension as local indices, or ``None``.
+    """One legal extension of ``members``, as indices, or ``None``.
 
-    Deterministic: operations are tried in index order, so given equal
-    inputs the same witness is returned.
+    The search runs on ``n``-bit universe indices: ``pred`` and the
+    payloads are indexed by universe index, and ``outside`` marks every
+    index that is not a member as already placed, so a member's
+    predecessors outside the view never hold it back.  Deterministic:
+    members are tried in the order given, so equal inputs give the same
+    witness.
+
+    The search keeps an explicit stack of ``(placed, values, untried
+    members)`` frames and defines no nested function, so its depth is
+    not bounded by the recursion limit and it leaves no reference cycle
+    behind.  A state already memoized as failed is entered and backed
+    out of without being searched again.
 
     With ``sink`` set, every placement and backtrack is narrated as a
     ``NodeEntered``/``Backtracked`` event labelled ``proc``, naming the
-    operation by ``render``; search order, memoization and the witness do
-    not change.  ``on_fail(placed, values)`` is called at every state the
-    search leaves failed, just before it is memoized (the explain path
-    finds its deepest dead end this way).
+    operation by ``render`` (indexed like ``pred``); search order,
+    memoization and the witness do not change.  ``on_fail(placed,
+    values)`` is called at every state the search leaves failed, just
+    before it is memoized (the explain path finds its deepest dead end
+    this way).
     """
     full = (1 << n) - 1
-    failed: set[tuple[int, tuple[int, ...]]] = set()
     order: list[int] = []
-
-    def dfs(placed: int, values: tuple[int, ...]) -> bool:
-        if placed == full:
-            return True
-        key = (placed, values)
-        if memoize and key in failed:
-            return False
-        for i in range(n):
-            bit = 1 << i
-            if placed & bit or (pred[i] & ~placed):
+    if outside == full:
+        return order
+    failed: set[tuple[int, tuple[int, ...]]] = set()
+    stack: list[tuple[int, tuple[int, ...], Iterator[int]]] = []
+    placed = outside
+    values = tuple([initial] * n_locs)
+    untried = iter(members)
+    while True:
+        for g in untried:
+            bit = 1 << g
+            if placed & bit or (pred[g] & ~placed):
                 continue
-            li = op_loc[i]
-            rv = read_vals[i]
+            li = op_loc[g]
+            rv = read_vals[g]
             if rv is not None and values[li] != rv:
                 continue
-            wv = write_vals[i]
-            new_values = values
+            wv = write_vals[g]
+            child_values = values
             if wv is not None and values[li] != wv:
-                new_values = values[:li] + (wv,) + values[li + 1:]
+                child_values = values[:li] + (wv,) + values[li + 1:]
             if sink is not None:
-                sink.emit(NodeEntered(proc=proc, depth=len(order), op=render[i]))
-            order.append(i)
-            if dfs(placed | bit, new_values):
-                return True
-            order.pop()
+                sink.emit(NodeEntered(proc=proc, depth=len(order), op=render[g]))
+            order.append(g)
+            child = placed | bit
+            if child == full:
+                return order
+            if memoize and (child, child_values) in failed:
+                order.pop()
+                if sink is not None:
+                    sink.emit(Backtracked(proc=proc, depth=len(order), op=render[g]))
+                continue
+            stack.append((placed, values, untried))
+            placed, values, untried = child, child_values, iter(members)
+            break
+        else:
+            # Every member tried from this state: it is failed.
+            if on_fail is not None:
+                on_fail(placed, values)
+            if memoize:
+                failed.add((placed, values))
+            if not stack:
+                return None
+            placed, values, untried = stack.pop()
+            g = order.pop()
             if sink is not None:
-                sink.emit(Backtracked(proc=proc, depth=len(order), op=render[i]))
-        if on_fail is not None:
-            on_fail(placed, values)
-        if memoize:
-            failed.add(key)
-        return False
-
-    if dfs(0, tuple([initial] * n_locs)):
-        return order
-    return None
+                sink.emit(Backtracked(proc=proc, depth=len(order), op=render[g]))
 
 
 # -- legal-extension API ------------------------------------------------------
@@ -240,8 +262,10 @@ def find_legal_extension(
     if prep is None:
         return None
     pred, op_loc, read_vals, write_vals, n_locs = prep
+    n = len(ops)
     order = _dfs_find(
-        len(ops), pred, op_loc, read_vals, write_vals, n_locs, initial, memoize
+        n, pred, range(n), 0, op_loc, read_vals, write_vals, n_locs, initial,
+        memoize,
     )
     if order is None:
         return None
@@ -293,21 +317,26 @@ def _iter_legal(
     n_locs: int,
     initial: int,
     limit: int | None = None,
-):
-    """Every legal extension as a list of local indices, in index order."""
+) -> Iterator[list[int]]:
+    """Every legal extension as a list of local indices, in index order.
+
+    The explicit-stack walk of :func:`_dfs_find` without its failure
+    memo: every branch is enumerated.
+    """
+    if limit is not None and limit <= 0:
+        return
     full = (1 << n) - 1
     order: list[int] = []
+    if full == 0:
+        yield order
+        return
     yielded = 0
-
-    def dfs(placed: int, values: tuple[int, ...]):
-        nonlocal yielded
-        if limit is not None and yielded >= limit:
-            return
-        if placed == full:
-            yielded += 1
-            yield list(order)
-            return
-        for i in range(n):
+    stack: list[tuple[int, tuple[int, ...], Iterator[int]]] = []
+    placed = 0
+    values = tuple([initial] * n_locs)
+    untried = iter(range(n))
+    while True:
+        for i in untried:
             bit = 1 << i
             if placed & bit or (pred[i] & ~placed):
                 continue
@@ -316,14 +345,25 @@ def _iter_legal(
             if rv is not None and values[li] != rv:
                 continue
             wv = write_vals[i]
-            new_values = values
+            child_values = values
             if wv is not None and values[li] != wv:
-                new_values = values[:li] + (wv,) + values[li + 1:]
+                child_values = values[:li] + (wv,) + values[li + 1:]
+            child = placed | bit
+            if child == full:
+                yield order + [i]
+                yielded += 1
+                if limit is not None and yielded >= limit:
+                    return
+                continue
             order.append(i)
-            yield from dfs(placed | bit, new_values)
+            stack.append((placed, values, untried))
+            placed, values, untried = child, child_values, iter(range(n))
+            break
+        else:
+            if not stack:
+                return
+            placed, values, untried = stack.pop()
             order.pop()
-
-    yield from dfs(0, tuple([initial] * n_locs))
 
 
 def count_legal_extensions(
@@ -629,31 +669,31 @@ def _union(a: Sequence[int], b: Sequence[int] | None) -> Sequence[int]:
 
 
 def _solve_one_view(
-    n: int,
+    cc: CompiledConstraints,
     masks: Sequence[int],
-    op_loc: Sequence[int],
-    read_vals: Sequence[int | None],
-    write_vals: Sequence[int | None],
-    n_locs: int,
+    members: Sequence[int],
+    outside: int,
     sink: TraceSink | None,
     proc_label: str,
     render: Sequence[str],
 ) -> list[int] | None:
-    """One view search, narrated when a sink is present."""
+    """One view search on universe indices, narrated when a sink is present."""
+    hp = cc.hp
     if sink is None:
         return _dfs_find(
-            n, masks, op_loc, read_vals, write_vals, n_locs, INITIAL_VALUE, True
+            cc.n, masks, members, outside, hp.uni_loc, hp.uni_read,
+            hp.uni_write, len(hp.locations), INITIAL_VALUE, True,
         )
-    sink.emit(ViewSearch(proc=proc_label, operations=n))
+    sink.emit(ViewSearch(proc=proc_label, operations=len(members)))
     order = _dfs_find(
-        n, masks, op_loc, read_vals, write_vals, n_locs, INITIAL_VALUE, True,
-        sink, proc_label, render,
+        cc.n, masks, members, outside, hp.uni_loc, hp.uni_read, hp.uni_write,
+        len(hp.locations), INITIAL_VALUE, True, sink, proc_label, render,
     )
     if order is None:
         sink.emit(ViewStuck(proc=proc_label))
     else:
         sink.emit(
-            ViewSolved(proc=proc_label, order=tuple(render[i] for i in order))
+            ViewSolved(proc=proc_label, order=tuple(render[g] for g in order))
         )
     return order
 
@@ -666,83 +706,73 @@ def _solve_views(
     prop: Sequence[int] | None,
     sink: TraceSink | None = None,
 ) -> dict[Any, View] | None:
+    """Every processor's view under one gated candidate, or ``None``.
+
+    ``base`` is closed and acyclic (the gate saw to it), and so is every
+    view of it; a cycle test runs only when labeled extras or
+    propagation edges were added to it.
+    """
     history = cc.history
+    render = [str(op) for op in cc.ops] if sink is not None else ()
+    fresh = extra is not None or prop is not None
+    combined = base if extra is None else _union(base, extra)
+    searched = _union(combined, prop)
     if cc.identical:
-        up = cc.universe_plane
         if cc.n > _MAX_OPS:
             raise CheckerError(
                 f"view of {cc.n} operations exceeds the "
                 f"{_MAX_OPS}-operation solver limit"
             )
-        masks = _union(_union(base, extra), prop)
-        if not masks_acyclic(masks, cc.n):
+        if fresh and not masks_acyclic(searched, cc.n):
             if sink is not None:
                 sink.emit(ViewStuck(proc="*", reason="constraint-cycle"))
             return None
         order = _solve_one_view(
-            cc.n,
-            masks,
-            up.op_loc,
-            up.read_vals,
-            up.write_vals,
-            up.n_locs,
-            sink,
-            "*",
-            [str(op) for op in cc.ops] if sink is not None else (),
+            cc, searched, cc.universe_plane.members, 0, sink, "*", render
         )
         if order is None:
             return None
-        sequence = [cc.ops[i] for i in order]
+        sequence = [cc.ops[g] for g in order]
         return {
             proc: View(proc, sequence, history, validate=False)
             for proc in history.procs
         }
 
-    views: dict[Any, View] = {}
-    combined = base if extra is None else _union(base, extra)
+    full = (1 << cc.n) - 1
+    orders: list[tuple[Any, list[int]]] = []
     for proc in cc.procs:
-        masks = combined
+        masks = searched
         if own is not None:
             # Release consistency: the ordering binds this processor's own
             # operations only in its own view.  The pre-kernel solver checks
-            # acyclicity of the combination over the *full* universe before
-            # restricting; mirror that (it can reject candidates a
-            # view-local check would accept).
-            masks = _union(masks, own[proc])
-            if not masks_acyclic(masks, cc.n):
+            # acyclicity of the combination over the *full* universe,
+            # without propagation edges, before restricting; mirror that
+            # (it can reject candidates a view-local check would accept).
+            if not masks_acyclic(_union(combined, own[proc]), cc.n):
                 if sink is not None:
                     sink.emit(ViewStuck(proc=str(proc), reason="constraint-cycle"))
                 return None
-        masks = _union(masks, prop)
+            masks = _union(masks, own[proc])
         vp = cc.views[proc]
-        v = len(vp.members)
-        if v > _MAX_OPS:
+        if len(vp.members) > _MAX_OPS:
             raise CheckerError(
-                f"view of {v} operations exceeds the "
+                f"view of {len(vp.members)} operations exceeds the "
                 f"{_MAX_OPS}-operation solver limit"
             )
-        local = vp.restrict(masks)
-        if not masks_acyclic(local, v):
+        if fresh and not masks_acyclic_within(masks, vp.bits):
             if sink is not None:
                 sink.emit(ViewStuck(proc=str(proc), reason="constraint-cycle"))
             return None
         order = _solve_one_view(
-            v,
-            local,
-            vp.op_loc,
-            vp.read_vals,
-            vp.write_vals,
-            vp.n_locs,
-            sink,
-            str(proc),
-            [str(cc.ops[g]) for g in vp.members] if sink is not None else (),
+            cc, masks, vp.members, full ^ vp.bits, sink, str(proc), render
         )
         if order is None:
             return None
-        views[proc] = View(
-            proc, [cc.ops[vp.members[i]] for i in order], history, validate=False
-        )
-    return views
+        orders.append((proc, order))
+    return {
+        proc: View(proc, [cc.ops[g] for g in order], history, validate=False)
+        for proc, order in orders
+    }
 
 
 # -- counterexamples ----------------------------------------------------------
@@ -860,10 +890,11 @@ def _stuck_view_counterexample(
             if own is not None:
                 masks = _union(masks, own[proc])
             probes.append((proc, cc.views[proc], masks))
+    hp = cc.hp
+    full = (1 << cc.n) - 1
     for proc, vp, masks in probes:
         members = vp.members
-        local = vp.restrict(masks)
-        v = len(members)
+        outside = full ^ vp.bits
         # The deepest dead end of the failing search: the partial view with
         # the most operations placed from which no operation can be placed
         # next — the most informative frontier to show a human.  The first
@@ -871,39 +902,36 @@ def _stuck_view_counterexample(
         # would lead to a deeper failed state.  Under a constraint cycle
         # it is the empty prefix, and the blocked list shows the mutual
         # blocking.
-        deepest = (0, 0, tuple([INITIAL_VALUE] * vp.n_locs))
-        if masks_acyclic(local, v):
+        deepest = (0, outside, tuple([INITIAL_VALUE] * len(hp.locations)))
+        if masks_acyclic_within(masks, vp.bits):
 
             def failed_state(placed: int, values: tuple[int, ...]) -> None:
                 nonlocal deepest
-                if placed.bit_count() > deepest[0]:
-                    deepest = (placed.bit_count(), placed, values)
+                depth = (placed ^ outside).bit_count()
+                if depth > deepest[0]:
+                    deepest = (depth, placed, values)
 
             if _dfs_find(
-                v, local, vp.op_loc, vp.read_vals, vp.write_vals, vp.n_locs,
-                INITIAL_VALUE, True, on_fail=failed_state,
+                cc.n, masks, members, outside, hp.uni_loc, hp.uni_read,
+                hp.uni_write, len(hp.locations), INITIAL_VALUE, True,
+                on_fail=failed_state,
             ) is not None:
                 continue
         depth, placed, values = deepest
-        loc_names = sorted(
-            {cc.ops[g].location for g in members}
-        )
         blocked: list[tuple[Operation, str]] = []
-        for i in range(v):
-            if placed & (1 << i):
+        for g in members:
+            if placed & (1 << g):
                 continue
-            op = cc.ops[members[i]]
-            missing = local[i] & ~placed
+            op = cc.ops[g]
+            missing = masks[g] & ~placed
             if missing:
-                j = (missing & -missing).bit_length() - 1
-                blocked.append(
-                    (op, f"must follow {cc.ops[members[j]]}")
-                )
+                # Name the missing predecessor that comes first in the view.
+                first = next(h for h in members if missing >> h & 1)
+                blocked.append((op, f"must follow {cc.ops[first]}"))
                 continue
-            rv = vp.read_vals[i]
-            cur = values[vp.op_loc[i]]
+            cur = values[hp.uni_loc[g]]
             blocked.append(
-                (op, f"reads {rv} but {loc_names[vp.op_loc[i]]} holds {cur}")
+                (op, f"reads {hp.uni_read[g]} but {op.location} holds {cur}")
             )
         who = "the common view" if proc is None else f"processor {proc!r}"
         return Counterexample(

@@ -121,6 +121,21 @@ class TestPRAM:
         h = parse_history("p: w(x)1 w(y)2 | q: r(y)2 r(x)0")
         assert not check_pram(h).allowed
 
+    @staticmethod
+    def _long_writer(reads):
+        writes = " ".join(f"w(x){v}" for v in range(1, 1201))
+        return parse_history(f"p: {writes} | q: {reads}")
+
+    def test_long_view_allowed(self):
+        # A view of 1,202 operations merges without recursion.
+        res = check(self._long_writer("r(x)1200"), "PRAM")
+        assert res.allowed
+        assert [op.value_read for op in res.views["q"] if op.is_read] == [1200]
+
+    def test_long_view_rejected(self):
+        # q cannot see x go back from 1200 to 1: p's writes arrive in order.
+        assert not check(self._long_writer("r(x)1200 r(x)1"), "PRAM").allowed
+
 
 class TestCausal:
     def test_fig4_allowed(self, fig4):

@@ -125,7 +125,7 @@ def plane_fingerprint(plane):
     from repro.spec.parameters import OperationSet
 
     def vp(v):
-        return (v.proc, v.members, v.op_loc, v.read_vals, v.write_vals)
+        return (v.proc, v.members, v.bits)
 
     return {
         "ops": plane.ops,

@@ -113,3 +113,35 @@ def test_max_steps_elides_deep_searches():
     capped = render_trace(sink.events, max_steps=1)
     assert "elided" in capped and "elided" not in full
     assert len(capped) < len(full)
+
+
+def test_memo_hit_is_entered_and_backed_out_of():
+    """A child state memoized as failed narrates NodeEntered then Backtracked.
+
+    Two independent writes ``a``, ``b`` and a read ``c`` of a value no one
+    writes: ``a b`` fails at ``{a, b}``, so ``b a`` reaches the memoized
+    state, which is entered and left without being searched (or reported
+    failed) again.
+    """
+    from repro.kernel.search import _dfs_find
+    from repro.obs import Backtracked, NodeEntered
+
+    sink = RecordingSink()
+    failed = []
+    order = _dfs_find(
+        3, [0, 0, 0], range(3), 0, [0, 1, 2], [None, None, 5], [1, 1, None],
+        3, 0, True, sink, "p", ["a", "b", "c"],
+        lambda placed, values: failed.append(placed),
+    )
+    assert order is None
+    assert sink.events == [
+        NodeEntered(proc="p", depth=0, op="a"),
+        NodeEntered(proc="p", depth=1, op="b"),
+        Backtracked(proc="p", depth=1, op="b"),
+        Backtracked(proc="p", depth=0, op="a"),
+        NodeEntered(proc="p", depth=0, op="b"),
+        NodeEntered(proc="p", depth=1, op="a"),
+        Backtracked(proc="p", depth=1, op="a"),
+        Backtracked(proc="p", depth=0, op="b"),
+    ]
+    assert failed == [0b011, 0b001, 0b010, 0]

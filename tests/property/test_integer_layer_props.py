@@ -13,21 +13,32 @@ definition it replaces:
 * the labeled disciplines: ``RC_sc``'s serializations and ``RC_pc``'s
   sub-history semi-causality equal ``iter_legal_extensions`` and
   ``sem_relation`` on the projected labeled sub-history;
-* layer 4: :meth:`ViewPlane.restrict` equals :func:`restrict_masks`.
+* the gate: the one-pass :func:`gate_masks` equals an acyclicity test
+  followed by :func:`close_masks`;
+* layer 4: the view search on universe indices (members as the try
+  order, non-members marked placed) equals the search over
+  :func:`restrict_masks` local masks, and so does the confined Kahn
+  test; ``iter_legal_orders`` equals a filter over all permutations.
 
 Histories mix reads, writes and RMWs, labeled operations, initial-value
 reads and repeated write values (several attributions).
 """
 
-from itertools import product
+from itertools import permutations, product
 from math import factorial
 
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.history import HistoryBuilder
+from repro.kernel.backend import (
+    PythonBackend,
+    close_masks,
+    gate_masks,
+    masks_acyclic,
+    masks_acyclic_within,
+)
 from repro.kernel.constraints import (
-    ViewPlane,
     _bracketing_masks,
     bracketing_edges,
     history_plane,
@@ -36,7 +47,7 @@ from repro.kernel.constraints import (
     rule_masks,
 )
 from repro.kernel.rf import iter_attributions
-from repro.kernel.search import iter_legal_extensions
+from repro.kernel.search import _dfs_find, iter_legal_extensions, iter_legal_orders
 from repro.kernel.serializations import (
     coherence_operations,
     forced_write_order,
@@ -44,6 +55,7 @@ from repro.kernel.serializations import (
     iter_mutual_candidates,
 )
 from repro.litmus import parse_history
+from repro.obs.sink import RecordingSink
 from repro.orders.coherence import enumerate_coherence_orders, forced_coherence_pairs
 from repro.orders.program_order import in_program_order
 from repro.orders.relation import Relation
@@ -217,17 +229,148 @@ def test_rule_masks_equal_rule_relations(h):
         assert _bracketing_masks(hp, src) == want, f"bracketing:\n{h}"
 
 
+@st.composite
+def gate_planes(draw, min_n=0, max_n=64):
+    """``(masks, n)``: a random DAG under a random rank, plus back edges.
+
+    About half the planes get one to three extra random edges, so cyclic
+    planes (self-loops included) are about as common as acyclic ones.
+    """
+    n = draw(st.integers(min_n, max_n))
+    rank = draw(st.permutations(range(n)))
+    sparse = draw(st.integers(1, 3))
+    masks = []
+    for j in range(n):
+        row = sum(1 << i for i in rank[: rank.index(j)])
+        for _ in range(sparse):
+            row &= draw(st.integers(0, (1 << n) - 1))
+        masks.append(row)
+    if n and draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 3))):
+            masks[draw(st.sampled_from(rank))] |= 1 << draw(st.sampled_from(rank))
+    return masks, n
+
+
+@given(plane=gate_planes())
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+def test_one_pass_gate_equals_acyclic_then_close(plane):
+    masks, n = plane
+    want = close_masks(masks) if masks_acyclic(masks, n) else None
+    assert gate_masks(masks, n) == want
+    assert PythonBackend().gate(masks, n) == want
+
+
+@st.composite
+def view_planes(draw, max_n=12):
+    """A universe plane, a view of it and universe-indexed payloads.
+
+    ``(n, masks, members, loc, reads, writes)``: a :func:`gate_planes`
+    plane (cycles and edges from non-members allowed), the members as a
+    prefix of a random permutation (the try order), and per-operation
+    location ids with read and write values over two locations (reads,
+    writes and RMWs).
+    """
+    masks, n = draw(gate_planes(1, max_n))
+    members = draw(st.permutations(range(n)))
+    members = members[: draw(st.integers(0, n))]
+    loc = [draw(st.integers(0, 1)) for _ in range(n)]
+    reads: list = []
+    writes: list = []
+    for _ in range(n):
+        kind = draw(st.sampled_from("rwu"))
+        reads.append(draw(st.integers(0, 2)) if kind in "ru" else None)
+        writes.append(draw(st.integers(1, 2)) if kind in "wu" else None)
+    return n, masks, members, loc, reads, writes
+
+
+def _confined_bits(members):
+    bits = 0
+    for g in members:
+        bits |= 1 << g
+    return bits
+
+
+@given(plane=view_planes(max_n=14))
+@settings(max_examples=300, deadline=None)
+def test_confined_kahn_equals_restricted_acyclic(plane):
+    n, masks, members, *_ = plane
+    want = masks_acyclic(restrict_masks(masks, members), len(members))
+    assert masks_acyclic_within(masks, _confined_bits(members)) == want
+
+
+@given(plane=view_planes(), memoize=st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_universe_view_search_equals_restricted_search(plane, memoize):
+    """Members as try order, non-members placed == search over local masks.
+
+    Same order (or ``None``), same narration, and the same failed states
+    handed to ``on_fail`` (mapped to local positions).
+    """
+    n, masks, members, loc, reads, writes = plane
+    v = len(members)
+    bits = _confined_bits(members)
+    outside = ((1 << n) - 1) ^ bits
+    got_sink, want_sink = RecordingSink(), RecordingSink()
+    got_failed: list = []
+    want_failed: list = []
+
+    def local_placed(placed):
+        return sum(1 << k for k, g in enumerate(members) if placed >> g & 1)
+
+    got = _dfs_find(
+        n, masks, members, outside, loc, reads, writes, 2, 0, memoize,
+        got_sink, "p", [f"op{g}" for g in range(n)],
+        lambda placed, values: got_failed.append((local_placed(placed), values)),
+    )
+    want = _dfs_find(
+        v, restrict_masks(masks, members), range(v), 0,
+        [loc[g] for g in members], [reads[g] for g in members],
+        [writes[g] for g in members], 2, 0, memoize,
+        want_sink, "p", [f"op{g}" for g in members],
+        lambda placed, values: want_failed.append((placed, values)),
+    )
+    assert got == (None if want is None else [members[i] for i in want])
+    assert got_sink.events == want_sink.events
+    assert got_failed == want_failed
+
+
+def _legal_under(order, ops, pred, initial):
+    placed = 0
+    memory: dict = {}
+    for i in order:
+        if pred[i] & ~placed:
+            return False
+        op = ops[i]
+        if op.is_read and memory.get(op.location, initial) != op.value_read:
+            return False
+        if op.is_write:
+            memory[op.location] = op.value_written
+        placed |= 1 << i
+    return True
+
+
 @given(
-    n=st.integers(1, 14),
+    h=histories(max_procs=2),
     data=st.data(),
+    limit=st.one_of(st.none(), st.integers(0, 4)),
 )
 @settings(max_examples=300, deadline=None)
-def test_view_restriction_equals_restrict_masks(n, data):
-    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
-    members = data.draw(st.permutations(range(n)))
-    members = members[: data.draw(st.integers(0, n))]
-    vp = ViewPlane(None, members, [0] * n, [None] * n, [None] * n)
-    assert vp.restrict(masks) == restrict_masks(masks, members)
+def test_iter_legal_orders_equals_permutation_filter(h, data, limit):
+    ops = h.operations[:6]
+    n = len(ops)
+    pred = [
+        data.draw(st.integers(0, (1 << n) - 1)) & ~(1 << j) for j in range(n)
+    ]
+    want = [
+        list(order)
+        for order in permutations(range(n))
+        if _legal_under(order, ops, pred, 0)
+    ]
+    if limit is not None:
+        want = want[:limit]
+    assert list(iter_legal_orders(ops, pred, limit=limit)) == want
 
 
 def reference_labeled_extras(spec, h, rf, coherence):

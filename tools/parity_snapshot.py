@@ -6,6 +6,15 @@ this tool before and after and compares the output::
     PYTHONPATH=src python tools/parity_snapshot.py            # full inputs
     PYTHONPATH=src python tools/parity_snapshot.py --quick    # small inputs
 
+or saves the parent's output to a file and checks the change against it::
+
+    PYTHONPATH=src python tools/parity_snapshot.py > parent.txt         # on the parent
+    PYTHONPATH=src python tools/parity_snapshot.py --against parent.txt  # on the change
+
+``--against`` prints every (family, field) pair whose digest differs
+from the file's and exits 1 if any does (pass ``--quick`` on both sides
+or on neither).
+
 The inputs are the litmus catalog, seeded random 3x3 and 3x4 histories,
 seeded impossible-value histories (reads of values no write stores) and
 seeded random 3x3 histories with about half their operations labeled
@@ -184,20 +193,57 @@ def snapshot(
     return digests
 
 
+def _lines(digests: dict[tuple[str, str], str], sizes: str) -> list[str]:
+    """The printed report: one line per (family, field), then the total."""
+    total = hashlib.sha256()
+    lines = []
+    for (family, f), digest in digests.items():
+        lines.append(f"{family:<17s} {f:<16s} {digest}")
+        total.update(digest.encode())
+    lines.append(f"{'all':<17s} {'(' + sizes + ')':<16s} {total.hexdigest()}")
+    return lines
+
+
+def _parse(lines: Iterable[str]) -> dict[tuple[str, str], str]:
+    """(family, field) -> digest from a saved report; other lines are skipped."""
+    out = {}
+    for line in lines:
+        parts = line.split()
+        if len(parts) >= 3 and len(parts[-1]) == 64:
+            out[(parts[0], " ".join(parts[1:-1]))] = parts[-1]
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--quick", action="store_true", help="fewer random histories (CI smoke)"
     )
+    parser.add_argument(
+        "--against",
+        metavar="FILE",
+        help="a saved report: print every differing digest, exit 1 on any",
+    )
     args = parser.parse_args(argv)
     inputs = families(args.quick)
     digests = snapshot(inputs, model_names())
-    total = hashlib.sha256()
-    for (family, f), digest in digests.items():
-        print(f"{family:<17s} {f:<16s} {digest}")
-        total.update(digest.encode())
     sizes = ", ".join(f"{k}={len(v)}" for k, v in inputs.items())
-    print(f"{'all':<17s} {'(' + sizes + ')':<16s} {total.hexdigest()}")
+    lines = _lines(digests, sizes)
+    print("\n".join(lines))
+    if args.against is None:
+        return 0
+    with open(args.against, encoding="utf-8") as fh:
+        want = _parse(fh)
+    got = _parse(lines)
+    differing = [
+        key for key in dict.fromkeys([*want, *got]) if want.get(key) != got.get(key)
+    ]
+    for family, f in differing:
+        print(f"DIFFERS {family} {f}: {want.get((family, f), '-')} -> "
+              f"{got.get((family, f), '-')}")
+    if differing:
+        return 1
+    print(f"parity: every digest equals {args.against}")
     return 0
 
 
