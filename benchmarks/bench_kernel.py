@@ -1,77 +1,59 @@
-"""E11 — constraint kernel vs the pre-kernel generic solver.
+"""E11 — the constraint kernel's generic solver on the litmus catalog.
 
-The kernel refactor's performance claim: compiling a spec's three
-parameters onto the bitmask plane (and sharing the history-level plane
-across specs) makes the generic solver at least twice as fast on the
-litmus catalog.  The frozen legacy solver is kept verbatim in
-``repro.checking._legacy_solver`` as the baseline, so the comparison
-stays honest as the kernel evolves.
+The kernel refactor claimed at least a 2× speedup over the pre-kernel
+generic solver on the catalog × spec sweep; the last measurement before
+that solver was deleted was 8.98× (EXPERIMENTS.md E25).  Its answers
+survive as ``tests/kernel/data/legacy_lock.json``, so the sweep here
+asserts the kernel's verdicts equal the lock before timing anything.
 """
 
-import time
+import json
+from pathlib import Path
 
 import pytest
 
-from repro.checking._legacy_solver import legacy_check_with_spec
 from repro.kernel.search import check_with_spec
 from repro.litmus import CATALOG
 from repro.spec import ALL_SPECS
 
+LOCK = Path(__file__).resolve().parents[1] / "tests" / "kernel" / "data" / "legacy_lock.json"
+
 # Hoist the histories once: ``LitmusTest.history`` builds a fresh object
 # per access, and the kernel's history-plane cache is identity-keyed.
-HISTORIES = [t.history for t in CATALOG.values()]
-PAIRS = [(spec, h) for h in HISTORIES for spec in ALL_SPECS]
+HISTORIES = {name: t.history for name, t in CATALOG.items()}
+PAIRS = [(name, spec) for name in HISTORIES for spec in ALL_SPECS]
 
 
-def _sweep(check):
-    verdicts = 0
-    for spec, h in PAIRS:
-        if check(spec, h).allowed:
-            verdicts += 1
-    return verdicts
+def _sweep() -> dict[tuple[str, str], bool]:
+    return {
+        (name, spec.name): check_with_spec(spec, HISTORIES[name]).allowed
+        for name, spec in PAIRS
+    }
 
 
-def _best_of(fn, reps):
-    best = float("inf")
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+def test_kernel_verdicts_match_lock():
+    """A fast wrong answer is not a speedup: the sweep equals the lock."""
+    lock = {
+        (r["history"], r["spec"]): r["allowed"]
+        for r in json.loads(LOCK.read_text(encoding="utf-8"))
+        if r["history"] in HISTORIES
+    }
+    assert _sweep() == lock
 
 
-def test_kernel_speedup_over_legacy_on_catalog():
-    """The acceptance bar: ≥2× on the full catalog × spec sweep."""
-    # Same verdicts first — a fast wrong answer is not a speedup.
-    assert _sweep(check_with_spec) == _sweep(legacy_check_with_spec)
-    legacy = _best_of(lambda: _sweep(legacy_check_with_spec), 5)
-    kernel = _best_of(lambda: _sweep(check_with_spec), 5)
-    speedup = legacy / kernel
-    print(
-        f"\ncatalog x {len(ALL_SPECS)} specs: "
-        f"legacy {legacy * 1e3:.1f}ms, kernel {kernel * 1e3:.1f}ms, "
-        f"speedup {speedup:.2f}x"
-    )
-    assert speedup >= 2.0, f"kernel speedup regressed: {speedup:.2f}x < 2x"
-
-
-@pytest.mark.parametrize("which", ["legacy", "kernel"])
-def test_bench_generic_solver_catalog(benchmark, which):
+def test_bench_generic_solver_catalog(benchmark):
     benchmark.group = "generic solver: catalog x all specs"
-    check = legacy_check_with_spec if which == "legacy" else check_with_spec
-    benchmark(lambda: _sweep(check))
+    benchmark(_sweep)
 
 
 @pytest.mark.parametrize(
     "name", ["fig1-sb", "iriw", "fig4-causal-not-tso", "2+2w-observed"]
 )
-@pytest.mark.parametrize("which", ["legacy", "kernel"])
-def test_bench_generic_solver_single(benchmark, which, name):
+def test_bench_generic_solver_single(benchmark, name):
     benchmark.group = f"generic solver: {name}"
-    check = legacy_check_with_spec if which == "legacy" else check_with_spec
-    h = CATALOG[name].history
+    h = HISTORIES[name]
 
     def one():
-        return [check(spec, h).allowed for spec in ALL_SPECS]
+        return [check_with_spec(spec, h).allowed for spec in ALL_SPECS]
 
     benchmark(one)

@@ -7,11 +7,12 @@ the definitions.  The property suite runs every witness produced over the
 exhaustive 2×2 space through this validator, so a solver bug that
 fabricates invalid witnesses cannot hide behind its own verdict.
 
-For release consistency the labeled *discipline* (SC/PC of the labeled
-subsequences) is validated in its mutual-agreement form — all views must
-order common labeled operations identically and admit a common extension;
-the full discipline re-check would be the solver again.  Bracketing and
-coherence are validated exactly.
+For ``RC_sc`` the labeled discipline is validated in its mutual-agreement
+form — all views must order common labeled operations identically and
+admit a common extension; the full discipline re-check would be the
+solver again.  ``RC_pc``'s labeled semi-causality, bracketing and every
+write-order agreement (total, per location, per partition block) are
+validated exactly.
 """
 
 from __future__ import annotations
@@ -23,9 +24,14 @@ from repro.core.history import SystemHistory
 from repro.core.operation import Operation
 from repro.core.view import View, first_legality_violation
 from repro.orders.relation import Relation
+from repro.orders.semi_causal import labeled_sem_relation
 from repro.orders.writes_before import unambiguous_reads_from
 from repro.spec.model_spec import MemoryModelSpec
-from repro.spec.parameters import MutualConsistency
+from repro.spec.parameters import (
+    LabeledDiscipline,
+    MutualConsistency,
+    partition_block_map,
+)
 
 __all__ = ["validate_witness"]
 
@@ -36,6 +42,9 @@ def validate_witness(
     views: Mapping[Any, View],
 ) -> list[str]:
     """All the ways ``views`` fail to witness ``history ∈ spec`` (empty = valid).
+
+    Partition consistency's agreement is one write order per block of
+    :func:`~repro.spec.parameters.partition_block_map`.
 
     Requires an unambiguous reads-from attribution (the litmus
     discipline); raises :class:`CheckerError` otherwise, since the
@@ -88,6 +97,17 @@ def validate_witness(
             for proc in procs[1:]:
                 if [op.uid for op in views[proc].writes_to(loc)] != first:
                     problems.append(f"coherence order for {loc!r} disagrees at {proc!r}")
+    elif mc is MutualConsistency.PARTITION:
+        assert spec.partition_blocks is not None
+        block = partition_block_map(history, spec.partition_blocks)
+        for b in range(spec.partition_blocks):
+            orders = {
+                proc: [op.uid for op in views[proc].writes_only if block[op.location] == b]
+                for proc in procs
+            }
+            for proc in procs[1:]:
+                if orders[proc] != orders[procs[0]]:
+                    problems.append(f"write order of block {b} disagrees at {proc!r}")
     elif mc is MutualConsistency.LABELED_TOTAL_ORDER:
         _check_labeled_agreement(history, views, problems)
 
@@ -113,8 +133,17 @@ def validate_witness(
     # -- release consistency extras ----------------------------------------------------
     if spec.bracketing:
         _check_bracketing(history, views, rf, problems)
-    if spec.labeled_discipline is not None:
+    if spec.labeled_discipline is LabeledDiscipline.SC:
         _check_labeled_agreement(history, views, problems)
+    elif spec.labeled_discipline is LabeledDiscipline.PC:
+        sem = labeled_sem_relation(history, rf, coherence)
+        for proc in procs:
+            view = views[proc]
+            for a, b in sem.pairs():
+                if a in view and b in view and not view.orders(a, b):
+                    problems.append(
+                        f"view for {proc!r} violates labeled sem: {a} -> {b}"
+                    )
 
     return problems
 

@@ -198,8 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fuzz = sub.add_parser(
         "fuzz",
-        help="differential fuzzing: cross-examine the kernel, legacy solver, "
-        "fast paths and pre-pass on random histories",
+        help="differential fuzzing: cross-examine the kernel, definitional "
+        "oracle, fast paths and pre-pass on random histories",
     )
     p_fuzz.add_argument("--seed", type=int, default=0, help="base campaign seed")
     p_fuzz.add_argument(

@@ -307,7 +307,7 @@ def run_fuzz(
             panels = engine.map_panel(todo, models)
         else:
             # Serial path: memoize the derived relations history-major, so
-            # the four oracles share one substrate per history.
+            # the panel's oracles share one substrate per history.
             panels = []
             with relation_memo():
                 for h in todo:

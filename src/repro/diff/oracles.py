@@ -1,4 +1,4 @@
-"""The oracle panel: four independent answers, cross-examined.
+"""The oracle panel: independent answers, cross-examined.
 
 The repository can decide "does model M admit history H" five ways:
 
@@ -8,9 +8,11 @@ The repository can decide "does model M admit history H" five ways:
 * **kernel** — the layered constraint kernel's generic driver
   (:func:`repro.kernel.check_with_spec`), uniformly for every spec-backed
   model;
-* **legacy** — the frozen pre-kernel monolithic solver
-  (:mod:`repro.checking._legacy_solver`), imported here deliberately: this
-  module *is* the equivalence-oracle harness that solver was frozen for;
+* **definitional** — a brute-force search straight from the paper's
+  definition (:mod:`repro.checking.definitional`), sharing no code with
+  the kernel; it answers only histories of at most
+  :data:`~repro.checking.definitional.DEFINITIONAL_MAX_OPS` operations
+  and is absent from larger rows;
 * **incremental** — the streaming session
   (:class:`repro.kernel.incremental.IncrementalCheck`): the history
   replayed op by op through a growing
@@ -22,13 +24,20 @@ The repository can decide "does model M admit history H" five ways:
   (:func:`repro.staticcheck.prepass_check`): when it denies (a forced
   contradiction was found), the kernel must deny too.
 
-:func:`panel_verdicts` runs all five; :func:`find_discrepancies` flags every
+Every kernel ADMIT whose reads-from attribution is unambiguous also has
+its witness views re-verified by
+:func:`~repro.checking.witness.validate_witness`, which keeps an
+independent check on the ADMITs of histories too large for the
+definitional oracle.
+
+:func:`panel_verdicts` runs them all; :func:`find_discrepancies` flags every
 way their answers can be mutually impossible: direct verdict disagreement,
 a prepass DENY of a history the kernel admits (a soundness violation), a
-streamed prefix verdict diverging from a fresh check of the same prefix,
-a verdict pattern contradicting the Figure 5 containment lattice (Steinke
-& Nutt's unified-theory invariants, free on every random history), and a
-machine trace rejected by the very model the machine implements.
+kernel witness that fails validation, a streamed prefix verdict diverging
+from a fresh check of the same prefix, a verdict pattern contradicting the
+Figure 5 containment lattice (Steinke & Nutt's unified-theory invariants,
+free on every random history), and a machine trace rejected by the very
+model the machine implements.
 """
 
 from __future__ import annotations
@@ -36,12 +45,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.checking._legacy_solver import legacy_check_with_spec
+from repro.checking.definitional import DEFINITIONAL_MAX_OPS, definitional_allowed
 from repro.checking.models import get_model
+from repro.checking.witness import validate_witness
 from repro.core.errors import CheckerError, DiffError
 from repro.core.history import SystemHistory
 from repro.kernel import check_with_spec
 from repro.lattice.classify import extended_edges
+from repro.orders.writes_before import unambiguous_reads_from
 from repro.staticcheck.prepass import prepass_check
 
 __all__ = [
@@ -53,7 +64,7 @@ __all__ = [
 ]
 
 #: The panel's members, in reporting order.
-ORACLES: tuple[str, ...] = ("fast", "kernel", "legacy", "incremental", "prepass")
+ORACLES: tuple[str, ...] = ("fast", "kernel", "definitional", "incremental", "prepass")
 
 
 def _incremental_replay(spec, history: SystemHistory) -> tuple[bool, bool]:
@@ -101,19 +112,26 @@ def panel_verdicts(
 ) -> dict[str, dict[str, bool]]:
     """Every oracle's verdict on ``history``, per model.
 
-    Returns ``{model: {"fast": bool, "kernel": bool, "legacy": bool,
+    Returns ``{model: {"fast": bool, "kernel": bool, "definitional": bool,
     "incremental": bool, "incremental_prefix_ok": bool,
-    "prepass_deny": bool}}`` — a plain picklable dictionary, so the engine
-    can ship panels across its process boundary.  Models without a
-    framework spec (the axiomatic TSO reference) only carry the ``fast``
-    verdict: the other oracles are spec-driven.  Models without a fast
-    path report the kernel verdict as ``fast``.
+    "prepass_deny": bool, "witness_ok": bool}}`` — a plain picklable
+    dictionary, so the engine can ship panels across its process
+    boundary.  Models without a framework spec (the axiomatic TSO
+    reference) only carry the ``fast`` verdict: the other oracles are
+    spec-driven.  Models without a fast path report the kernel verdict as
+    ``fast``.  ``definitional`` is absent on histories of more than
+    :data:`~repro.checking.definitional.DEFINITIONAL_MAX_OPS` operations.
+    ``witness_ok`` is present only on a kernel ADMIT with an unambiguous
+    attribution: whether :func:`~repro.checking.witness.validate_witness`
+    accepted the kernel's views.
     ``incremental_prefix_ok`` is the streaming oracle's extra claim: every
     intermediate prefix's incremental verdict matched a fresh check of
     that prefix (see :func:`_incremental_replay`).  ``prepass_deny`` is
     ``False`` when the static battery abstained.
     """
     out: dict[str, dict[str, bool]] = {}
+    small = len(history.operations) <= DEFINITIONAL_MAX_OPS
+    unambiguous = unambiguous_reads_from(history) is not None
     for name in models:
         try:
             model = get_model(name)
@@ -123,19 +141,24 @@ def panel_verdicts(
         if spec is None:
             out[name] = {"fast": model.check(history).allowed}
             continue
-        kernel = check_with_spec(spec, history).allowed
+        result = check_with_spec(spec, history)
+        kernel = result.allowed
         # Without a fast path the model is decided by the kernel: reuse
         # its verdict rather than running the identical search twice.
         fast = kernel if model.fast is None else model.check(history).allowed
         final, prefix_ok = _incremental_replay(spec, history)
-        out[name] = {
+        row = {
             "fast": fast,
             "kernel": kernel,
-            "legacy": legacy_check_with_spec(spec, history).allowed,
             "incremental": final,
             "incremental_prefix_ok": prefix_ok,
             "prepass_deny": prepass_check(spec, history).decided,
         }
+        if small:
+            row["definitional"] = definitional_allowed(spec, history)
+        if kernel and unambiguous:
+            row["witness_ok"] = not validate_witness(spec, history, result.views)
+        out[name] = row
     return out
 
 
@@ -155,8 +178,8 @@ class Discrepancy:
     ----------
     kind:
         ``"oracle-disagreement"``, ``"prepass-unsound"``,
-        ``"incremental-divergence"``, ``"lattice-violation"``, or
-        ``"machine-unsound"``.
+        ``"invalid-witness"``, ``"incremental-divergence"``,
+        ``"lattice-violation"``, or ``"machine-unsound"``.
     models:
         The model name(s) involved (one, or the (stronger, weaker) pair of
         a violated lattice edge).
@@ -207,7 +230,7 @@ def find_discrepancies(
         if spec_backed:
             answers = {
                 o: verdicts[o]
-                for o in ("fast", "kernel", "legacy", "incremental")
+                for o in ("fast", "kernel", "definitional", "incremental")
                 if o in verdicts
             }
             if len(set(answers.values())) > 1:
@@ -223,6 +246,16 @@ def find_discrepancies(
                         "prepass-unsound",
                         (name,),
                         "static pre-pass DENYs a history the kernel ADMITs",
+                        row,
+                    )
+                )
+            if not verdicts.get("witness_ok", True):
+                found.append(
+                    Discrepancy(
+                        "invalid-witness",
+                        (name,),
+                        "the kernel's witness views fail independent "
+                        "validation",
                         row,
                     )
                 )

@@ -167,7 +167,8 @@ SHAPE_PRESETS: dict[str, ShapePreset] = _presets(
 )
 
 #: The default stratification: every structural preset plus the machine
-#: strata whose paired model is spec-backed (so all four oracles apply).
+#: strata whose paired model is spec-backed (so every spec-driven oracle
+#: applies).
 DEFAULT_SHAPES: tuple[str, ...] = (
     "tiny",
     "small",

@@ -119,7 +119,8 @@ def _run_panel_chunk_impl(
     """Oracle-panel verdicts for every payload of ``chunk``, in order.
 
     The differential fuzzer's worker body: each history is answered by the
-    full panel (fast path, kernel, frozen legacy solver, static pre-pass).
+    full panel (fast path, kernel, definitional oracle, incremental replay,
+    static pre-pass, witness validation).
     Lazy import — the diff layer sits above the engine, and only fuzz runs
     need it.
     """
@@ -222,8 +223,9 @@ class CheckEngine:
         """Differential oracle panels for many histories, in input order.
 
         The :mod:`repro.diff` fuzzer's batch entry point: every history is
-        decided by *all four* oracles (fast path, kernel, legacy solver,
-        static pre-pass; see :func:`repro.diff.oracles.panel_verdicts`).
+        decided by every oracle of the panel (fast path, kernel,
+        definitional oracle, incremental replay, static pre-pass; see
+        :func:`repro.diff.oracles.panel_verdicts`).
         Runs on the worker pool when ``jobs > 1``; results are identical
         either way.
         """

@@ -14,7 +14,6 @@ from repro.orders.memo import (
 from repro.orders.coherence import (
     CoherenceOrder,
     coherence_position,
-    coherence_relation,
     enumerate_coherence_orders,
     forced_coherence_pairs,
     program_write_chains,
@@ -45,7 +44,6 @@ __all__ = [
     "RelationMemo",
     "CoherenceOrder",
     "coherence_position",
-    "coherence_relation",
     "enumerate_coherence_orders",
     "forced_coherence_pairs",
     "in_program_order",

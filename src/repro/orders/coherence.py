@@ -28,7 +28,6 @@ __all__ = [
     "program_write_chains",
     "forced_coherence_pairs",
     "enumerate_coherence_orders",
-    "coherence_relation",
     "coherence_position",
 ]
 
@@ -111,18 +110,6 @@ def enumerate_coherence_orders(
         per_loc.append([tuple(order) for order in forced.all_topological_sorts()])
     for combo in itertools.product(*per_loc):
         yield dict(zip(locations, combo))
-
-
-def coherence_relation(
-    history: SystemHistory, order: CoherenceOrder
-) -> Relation[Operation]:
-    """The pair relation induced by a coherence order (adjacent-closure form)."""
-    rel: Relation[Operation] = Relation(history.operations)
-    for chain in order.values():
-        for i, a in enumerate(chain):
-            for b in chain[i + 1:]:
-                rel.add(a, b)
-    return rel
 
 
 def coherence_position(order: CoherenceOrder) -> dict[tuple, int]:

@@ -33,7 +33,7 @@ from repro.orders.program_order import ppo_relation
 from repro.orders.relation import Relation
 from repro.orders.writes_before import ReadsFrom
 
-__all__ = ["rwb_relation", "rrb_relation", "sem_relation"]
+__all__ = ["rwb_relation", "rrb_relation", "sem_relation", "labeled_sem_relation"]
 
 
 def rwb_relation(
@@ -95,3 +95,32 @@ def sem_relation(
     rwb = rwb_relation(history, reads_from, ppo)
     rrb = rrb_relation(history, reads_from, coherence, ppo)
     return ppo.union(rwb, rrb).transitive_closure()
+
+
+def labeled_sem_relation(
+    history: SystemHistory,
+    reads_from: ReadsFrom,
+    coherence: CoherenceOrder,
+) -> Relation[Operation]:
+    """Semi-causality of the labeled operations alone (``RC_pc``, Section 3.4).
+
+    The labeled sub-history gets the attribution and the write orders
+    projected onto it; a labeled read whose source is an ordinary write
+    reads from nothing there.  The result is over ``history``'s own
+    operations.
+    """
+    sub, back = history.project(lambda op: op.labeled)
+    fwd = {back[new.uid].uid: new for new in sub.operations}
+    rf_sub: dict[Operation, Operation | None] = {}
+    for new in sub.reads:
+        src = reads_from.get(back[new.uid])
+        rf_sub[new] = fwd[src.uid] if src is not None and src.uid in fwd else None
+    co_sub = {}
+    for loc, chain in coherence.items():
+        projected = tuple(fwd[w.uid] for w in chain if w.uid in fwd)
+        if projected:
+            co_sub[loc] = projected
+    rel: Relation[Operation] = Relation(history.operations)
+    for a, b in sem_relation(sub, rf_sub, co_sub).pairs():
+        rel.add(back[a.uid], back[b.uid])
+    return rel

@@ -8,7 +8,10 @@ from repro.core import CheckerError, View
 from repro.lattice import HistorySpace, canonical_key, enumerate_histories
 from repro.litmus import CATALOG, parse_history
 
-VALIDATABLE = ("SC", "TSO", "PC", "PRAM", "Causal", "Coherence", "RC_sc", "RC_pc")
+VALIDATABLE = (
+    "SC", "TSO", "PC", "PRAM", "Causal", "Coherence", "RC_sc", "RC_pc",
+    "partition-2", "partition-3",
+)
 
 
 class TestAcceptsGoodWitnesses:
@@ -62,6 +65,29 @@ class TestLabeledAgreement:
         result = m.check(h)
         assert result.allowed
         assert validate_witness(m.spec, h, result.views) == []
+
+    def test_rc_pc_views_may_disagree_on_labeled_order(self):
+        # Labeled store buffering: RC_pc admits it with views that order
+        # the two labeled writes oppositely, which its labeled PC
+        # discipline allows; only RC_sc demands one labeled order.
+        h = parse_history("p: w*(x)1 r*(y)0 | q: w*(y)1 r*(x)0")
+        m = MODELS["RC_pc"]
+        result = m.check(h)
+        assert result.allowed and not MODELS["RC_sc"].check(h).allowed
+        assert validate_witness(m.spec, h, result.views) == []
+
+    def test_rc_pc_labeled_sem_violation_rejected(self):
+        h = parse_history("p: w*(x)1 w*(y)2 | q: r*(y)2 r*(x)1")
+        m = MODELS["RC_pc"]
+        result = m.check(h)
+        assert result.allowed
+        views = dict(result.views)
+        w_x, w_y = h.op("p", 0), h.op("p", 1)
+        r_y, r_x = h.op("q", 0), h.op("q", 1)
+        # Legal, coherent, ppo-respecting for q, but p's writes reversed.
+        views["q"] = View("q", [w_y, r_y, w_x, r_x], validate=False)
+        problems = validate_witness(m.spec, h, views)
+        assert any("violates labeled sem" in p_ for p_ in problems), problems
 
     def test_disagreeing_labeled_orders_rejected(self):
         h = parse_history("p: w*(x)1 | q: w*(y)2 | r: r(x)1 r(y)2")
@@ -117,6 +143,31 @@ class TestRejectsBadWitnesses:
         views["q"] = View("q", reads + list(reversed(writes)), validate=False)
         problems = validate_witness(m.spec, fig1, views)
         assert any("write orders disagree" in p for p in problems)
+
+    @pytest.mark.parametrize(
+        "model, complaint",
+        [
+            ("partition-2", "write order of block 0 disagrees"),
+            ("partition-3", "write order of block 0 disagrees"),
+            ("Coherence", "coherence order for 'x' disagrees"),
+            ("TSO", "write orders disagree"),
+        ],
+    )
+    def test_opposite_write_orders_rejected(self, model, complaint):
+        # r and s see x's two writes in opposite orders: each view is
+        # legal, but no model that agrees on x's write order admits it.
+        h = parse_history("p: w(x)1 | q: w(x)2 | r: r(x)1 r(x)2 | s: r(x)2 r(x)1")
+        m = MODELS[model]
+        assert not m.check(h).allowed
+        w1, w2 = h.op("p", 0), h.op("q", 0)
+        views = {
+            "p": View("p", [w1, w2], validate=False),
+            "q": View("q", [w1, w2], validate=False),
+            "r": View("r", [w1, h.op("r", 0), w2, h.op("r", 1)], validate=False),
+            "s": View("s", [w2, h.op("s", 0), w1, h.op("s", 1)], validate=False),
+        }
+        problems = validate_witness(m.spec, h, views)
+        assert any(complaint in p_ for p_ in problems), problems
 
     def test_broken_ordering(self):
         # PRAM: violate program order of the remote writer in q's view.

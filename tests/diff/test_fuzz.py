@@ -66,15 +66,16 @@ class TestResume:
 class TestInjectedDiscrepancy:
     """End-to-end on a *forced* bug: the real panel is clean, so the
     finding/shrinking/recording path is exercised by lying about the
-    legacy solver's verdict on SC."""
+    definitional oracle's verdict on SC (the tiny stratum's 4-op
+    histories are within its size cap, so the verdict is always there)."""
 
     @pytest.fixture
     def lying_panel(self, monkeypatch):
         def _panel(history, models):
             panel = panel_verdicts(history, models)
             row = panel.get("SC")
-            if row is not None and "legacy" in row:
-                row["legacy"] = not row["kernel"]
+            if row is not None and "definitional" in row:
+                row["definitional"] = not row["kernel"]
             return panel
 
         monkeypatch.setattr(fuzz_module, "panel_verdicts", _panel)

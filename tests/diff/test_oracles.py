@@ -1,7 +1,10 @@
 """Tests for the oracle panel and its discrepancy rules."""
 
+import dataclasses
+
 import pytest
 
+from repro.core import View
 from repro.core.errors import DiffError
 from repro.diff import (
     Discrepancy,
@@ -15,12 +18,12 @@ SB = parse_history("p: w(x)1 r(y)0 | q: w(y)2 r(x)0")  # store-buffer: TSO, not 
 TRIVIAL = parse_history("p: w(x)1 | q: r(x)1")
 
 
-def _row(fast, kernel=None, legacy=None, prepass_deny=False):
-    """A synthetic spec-backed panel row (kernel/legacy default to fast)."""
+def _row(fast, kernel=None, definitional=None, prepass_deny=False):
+    """A synthetic spec-backed panel row (kernel/definitional default to fast)."""
     return {
         "fast": fast,
         "kernel": fast if kernel is None else kernel,
-        "legacy": fast if legacy is None else legacy,
+        "definitional": fast if definitional is None else definitional,
         "prepass_deny": prepass_deny,
     }
 
@@ -29,7 +32,7 @@ class TestPanelVerdicts:
     def test_all_oracles_agree_on_store_buffer(self):
         panel = panel_verdicts(SB, ("SC", "TSO", "PC", "Causal", "PRAM"))
         for name, verdicts in panel.items():
-            assert verdicts["fast"] == verdicts["kernel"] == verdicts["legacy"]
+            assert verdicts["fast"] == verdicts["kernel"] == verdicts["definitional"]
         agreed = agreed_verdicts(panel)
         assert agreed == {
             "SC": False, "TSO": True, "PC": True, "Causal": True, "PRAM": True
@@ -49,6 +52,23 @@ class TestPanelVerdicts:
     def test_unknown_model_rejected(self):
         with pytest.raises(DiffError, match="unknown model"):
             panel_verdicts(TRIVIAL, ("Nonsense",))
+
+    def test_definitional_absent_above_the_cap(self):
+        from repro.checking.definitional import DEFINITIONAL_MAX_OPS
+
+        big = parse_history(
+            "p: " + " ".join(f"w(x){i}" for i in range(1, DEFINITIONAL_MAX_OPS + 1))
+            + " | q: r(x)1"
+        )
+        assert "definitional" in panel_verdicts(SB, ("TSO",))["TSO"]
+        assert "definitional" not in panel_verdicts(big, ("TSO",))["TSO"]
+
+    def test_witness_checked_on_unambiguous_admits_only(self):
+        panel = panel_verdicts(SB, ("SC", "TSO"))
+        assert "witness_ok" not in panel["SC"]  # a DENY has no witness
+        assert panel["TSO"]["witness_ok"] is True
+        ambiguous = parse_history("p: w(x)1 | q: w(x)1 | r: r(x)1")
+        assert "witness_ok" not in panel_verdicts(ambiguous, ("TSO",))["TSO"]
 
     def test_incremental_oracle_matches_kernel(self):
         panel = panel_verdicts(SB, ("SC", "TSO"))
@@ -72,11 +92,35 @@ class TestFindDiscrepancies:
         assert find_discrepancies(panel_verdicts(SB, ("SC", "TSO", "PRAM"))) == []
 
     def test_oracle_disagreement(self):
-        panel = {"SC": _row(fast=True, legacy=False)}
+        panel = {"SC": _row(fast=True, definitional=False)}
         (d,) = find_discrepancies(panel)
         assert d.kind == "oracle-disagreement"
         assert d.models == ("SC",)
-        assert "legacy=DENY" in d.detail and "fast=ADMIT" in d.detail
+        assert "definitional=DENY" in d.detail and "fast=ADMIT" in d.detail
+
+    def test_invalid_witness(self, monkeypatch):
+        # A kernel whose witness swaps q's two writes: still legal, still
+        # an ADMIT, but the views no longer agree on the write order.
+        from repro.diff import oracles
+
+        real = oracles.check_with_spec
+
+        def bad_witness(spec, history):
+            result = real(spec, history)
+            if history is not SB:  # leave the incremental replay alone
+                return result
+            views = dict(result.views)
+            q = list(views["q"])
+            views["q"] = View("q", [op for op in q if not op.is_write]
+                              + [op for op in q if op.is_write][::-1], validate=False)
+            return dataclasses.replace(result, views=views)
+
+        monkeypatch.setattr(oracles, "check_with_spec", bad_witness)
+        panel = panel_verdicts(SB, ("TSO",))
+        assert panel["TSO"]["kernel"] and panel["TSO"]["witness_ok"] is False
+        (d,) = find_discrepancies(panel)
+        assert d.kind == "invalid-witness"
+        assert d.models == ("TSO",)
 
     def test_prepass_unsound(self):
         panel = {"SC": _row(fast=True, prepass_deny=True)}

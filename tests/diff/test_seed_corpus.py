@@ -4,8 +4,9 @@ Every ``litmus`` record of ``data/seed_corpus.jsonl`` is a fuzz-found,
 shrunk-to-minimal history whose agreed verdict vector was locked when it
 was harvested (``repro.diff.fuzz.harvest_fixtures``).  Replaying them pins
 the whole oracle panel: any drift — a fast path diverging from the kernel,
-the legacy solver diverging from either, a prepass soundness break, a
-Figure 5 lattice violation — fails here before a fuzz campaign ever runs.
+the definitional oracle diverging from either, an invalid kernel
+witness, a prepass soundness break, a Figure 5 lattice violation —
+fails here before a fuzz campaign ever runs.
 
 Regenerate after an *intended* semantics change with
 ``tools/regen_seed_corpus.py`` (which fuzz-harvests a witness per lattice

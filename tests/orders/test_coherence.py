@@ -3,7 +3,6 @@
 from repro.litmus import parse_history
 from repro.orders import (
     coherence_position,
-    coherence_relation,
     enumerate_coherence_orders,
     forced_coherence_pairs,
     program_write_chains,
@@ -67,12 +66,6 @@ class TestEnumeration:
 
 
 class TestRelationAndPosition:
-    def test_coherence_relation_pairs(self):
-        h = parse_history("p: w(x)1 w(x)2")
-        order = {"x": (h.op("p", 0), h.op("p", 1))}
-        rel = coherence_relation(h, order)
-        assert rel.orders(h.op("p", 0), h.op("p", 1))
-
     def test_coherence_position(self):
         h = parse_history("p: w(x)1 w(x)2")
         order = {"x": (h.op("p", 0), h.op("p", 1))}

@@ -12,7 +12,10 @@ RELAXED = settings(
     max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 
-VALIDATABLE = ("SC", "TSO", "PC", "PRAM", "Causal", "Coherence", "Slow", "Hybrid")
+VALIDATABLE = (
+    "SC", "TSO", "PC", "PRAM", "Causal", "Coherence", "Slow", "Hybrid",
+    "partition-2", "partition-3",
+)
 
 
 @given(history_strategy(max_procs=2, max_ops=3))
