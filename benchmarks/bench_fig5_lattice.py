@@ -14,11 +14,10 @@ from repro.analysis import format_counts
 from repro.lattice import (
     FIGURE5_EDGES,
     HistorySpace,
-    canonical_key,
+    canonical_histories,
     classify_histories,
     containment_violations,
     empirical_hasse,
-    enumerate_histories,
     hasse_levels,
     paper_hasse,
     separating_witnesses,
@@ -30,14 +29,7 @@ MODELS = ("SC", "TSO", "PC", "Causal", "PRAM")
 
 
 def canonical_space():
-    space = HistorySpace(procs=2, ops_per_proc=2)
-    seen, out = set(), []
-    for h in enumerate_histories(space):
-        k = canonical_key(h)
-        if k not in seen:
-            seen.add(k)
-            out.append(h)
-    return out
+    return list(canonical_histories(HistorySpace(procs=2, ops_per_proc=2)))
 
 
 @pytest.fixture(scope="module")
@@ -94,13 +86,7 @@ def test_fig5_exhaustive_2x3_space(record_claims, benchmark):
     benchmark.group = "claims"
 
     def verify():
-        space = HistorySpace(procs=2, ops_per_proc=3)
-        seen, hs = set(), []
-        for h in enumerate_histories(space):
-            k = canonical_key(h)
-            if k not in seen:
-                seen.add(k)
-                hs.append(h)
+        hs = list(canonical_histories(HistorySpace(procs=2, ops_per_proc=3)))
         result = classify_histories(hs, MODELS)
         violations = containment_violations(result, FIGURE5_EDGES)
         wits = separating_witnesses(result, FIGURE5_EDGES)

@@ -14,9 +14,8 @@ import pytest
 from repro.checking import check
 from repro.lattice import (
     HistorySpace,
-    canonical_key,
+    canonical_histories,
     classify_histories,
-    enumerate_histories,
 )
 from repro.litmus import CATALOG
 
@@ -38,14 +37,7 @@ MODELS = (
 
 
 def canonical_space():
-    space = HistorySpace(procs=2, ops_per_proc=2)
-    seen, out = set(), []
-    for h in enumerate_histories(space):
-        k = canonical_key(h)
-        if k not in seen:
-            seen.add(k)
-            out.append(h)
-    return out
+    return list(canonical_histories(HistorySpace(procs=2, ops_per_proc=2)))
 
 
 @pytest.fixture(scope="module")

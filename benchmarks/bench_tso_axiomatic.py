@@ -13,20 +13,13 @@ text; EXPERIMENTS.md discusses it.
 import pytest
 
 from repro.checking import check_axiomatic_tso, check_tso
-from repro.lattice import HistorySpace, canonical_key, enumerate_histories
+from repro.lattice import HistorySpace, canonical_histories
 from repro.litmus import CATALOG
 from repro.machines import TSOMachine
 
 
 def canonical_space():
-    space = HistorySpace(procs=2, ops_per_proc=2)
-    seen, out = set(), []
-    for h in enumerate_histories(space):
-        k = canonical_key(h)
-        if k not in seen:
-            seen.add(k)
-            out.append(h)
-    return out
+    return list(canonical_histories(HistorySpace(procs=2, ops_per_proc=2)))
 
 
 def _has_forwarding_shape(history) -> bool:

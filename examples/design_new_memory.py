@@ -15,9 +15,8 @@ from repro.checking import check
 from repro.kernel import check_with_spec
 from repro.lattice import (
     HistorySpace,
-    canonical_key,
+    canonical_histories,
     classify_histories,
-    enumerate_histories,
 )
 from repro.litmus import CATALOG
 from repro.spec import (
@@ -52,13 +51,7 @@ def main() -> None:
         print(f"  {name:22s} new={str(mine):5s} causal={str(plain):5s}{marker}")
 
     # Locate it in the lattice over the canonical 2x2 space.
-    space = HistorySpace(procs=2, ops_per_proc=2)
-    seen, histories = set(), []
-    for h in enumerate_histories(space):
-        k = canonical_key(h)
-        if k not in seen:
-            seen.add(k)
-            histories.append(h)
+    histories = list(canonical_histories(HistorySpace(procs=2, ops_per_proc=2)))
     result = classify_histories(histories, ("SC", "TSO", "Causal", "Coherence", "PRAM"))
     mine_allowed = {
         i for i, h in enumerate(histories) if check_with_spec(spec, h).allowed

@@ -19,11 +19,10 @@ from repro.analysis import Timer, format_counts
 from repro.lattice import (
     FIGURE5_EDGES,
     HistorySpace,
-    canonical_key,
+    canonical_histories,
     classify_histories,
     containment_violations,
     empirical_hasse,
-    enumerate_histories,
     paper_hasse,
     separating_witnesses,
 )
@@ -39,12 +38,7 @@ def main() -> None:
     space = HistorySpace(procs=procs, ops_per_proc=ops)
 
     with Timer() as t_enum:
-        seen, histories = set(), []
-        for h in enumerate_histories(space):
-            key = canonical_key(h)
-            if key not in seen:
-                seen.add(key)
-                histories.append(h)
+        histories = list(canonical_histories(space))
     print(
         f"{procs} procs x {ops} ops: {len(histories)} canonical histories "
         f"(enumerated in {t_enum.elapsed:.2f}s)"

@@ -50,11 +50,10 @@ from repro.core.errors import ReproError
 from repro.lattice import (
     FIGURE5_EDGES,
     HistorySpace,
-    canonical_key,
+    canonical_histories,
     classify_histories,
     containment_violations,
     empirical_hasse,
-    enumerate_histories,
 )
 from repro.litmus import CATALOG, parse_history
 from repro.machines import PRAMMachine, RCMachine, SCMachine, TSOMachine
@@ -600,13 +599,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
 
 def _cmd_lattice(args: argparse.Namespace) -> int:
     space = HistorySpace(procs=args.procs, ops_per_proc=args.ops)
-    seen: set = set()
-    histories = []
-    for h in enumerate_histories(space):
-        key = canonical_key(h)
-        if key not in seen:
-            seen.add(key)
-            histories.append(h)
+    histories = list(canonical_histories(space))
     # The panel defaults to every registered model and the edge set to
     # the registry-derived lattice, so newly registered models are
     # containment-checked without any CLI plumbing; --paper restricts

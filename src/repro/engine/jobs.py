@@ -18,7 +18,9 @@ Three history sources:
     plus the classic tests.
 ``space``
     Exhaustive :class:`~repro.lattice.enumeration.HistorySpace` enumeration,
-    deduplicated by canonical key (the Figure 5 workload).
+    one history per canonical class
+    (:func:`~repro.lattice.enumeration.canonical_histories`, the Figure 5
+    workload).
 ``random``
     Seeded :func:`~repro.analysis.random_histories.random_history` sampling
     (the fuzzing workload).
@@ -96,6 +98,8 @@ class SweepSpec:
             # name holding either could make two specs share a key.
             if not (isinstance(loc, str) and LOCATION_RE.fullmatch(loc)):
                 raise EngineError(f"bad location name {loc!r}")
+        if len(set(self.locations)) != len(self.locations):
+            raise EngineError(f"duplicate location names in {self.locations!r}")
         if self.source == "random":
             if self.count < 1:
                 raise EngineError(f"random source needs count >= 1, got {self.count}")
@@ -156,11 +160,7 @@ class SweepSpec:
             yield CheckJob(f"catalog:{name}", test.history, models)
 
     def _space_jobs(self, models: tuple[str, ...]) -> Iterator[CheckJob]:
-        from repro.lattice.enumeration import (
-            HistorySpace,
-            canonical_key,
-            enumerate_histories,
-        )
+        from repro.lattice.enumeration import HistorySpace, canonical_histories
 
         space = HistorySpace(
             procs=self.procs,
@@ -168,15 +168,8 @@ class SweepSpec:
             locations=self.locations,
         )
         prefix = f"space:{self._shape_tag()}"
-        seen: set[tuple] = set()
-        index = 0
-        for history in enumerate_histories(space):
-            key = canonical_key(history)
-            if key in seen:
-                continue
-            seen.add(key)
+        for index, history in enumerate(canonical_histories(space)):
             yield CheckJob(f"{prefix}:{index:06d}", history, models)
-            index += 1
 
     def _random_jobs(self, models: tuple[str, ...]) -> Iterator[CheckJob]:
         import numpy as np

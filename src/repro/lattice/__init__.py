@@ -1,4 +1,10 @@
-"""Relating memories by set containment (paper Section 4, Figure 5)."""
+"""Relating memories by set containment (paper Section 4, Figure 5).
+
+The histories come from :mod:`repro.lattice.enumeration`:
+:func:`canonical_histories` yields one representative per renaming class
+of a :class:`HistorySpace` (the first one :func:`enumerate_histories`
+reaches), which is what Figure 5 sweeps check.
+"""
 
 from repro.lattice.classify import (
     FIGURE5_EDGES,
@@ -11,6 +17,7 @@ from repro.lattice.classify import (
 )
 from repro.lattice.enumeration import (
     HistorySpace,
+    canonical_histories,
     canonical_key,
     enumerate_histories,
     space_size,
@@ -21,6 +28,7 @@ from repro.lattice.report import lattice_report
 from repro.lattice.sampling import classify_sample, sample_history, sample_space
 
 __all__ = [
+    "canonical_histories",
     "canonical_key",
     "ClassificationResult",
     "classify_histories",

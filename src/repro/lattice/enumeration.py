@@ -15,19 +15,29 @@ no information).
 
 Symmetry reduction: histories equal up to renaming of processors and
 locations (values are canonical already) classify identically under every
-model, so :func:`canonical_key` lets callers deduplicate, typically
+model, so :func:`canonical_key` tells duplicates apart, typically
 shrinking the space by close to ``procs! × locations!``.
+:func:`canonical_histories` yields each class's first history directly,
+without building the duplicates.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
-from repro.core.history import HistoryBuilder, SystemHistory
+from repro.core.history import ProcessorHistory, SystemHistory
+from repro.core.operation import Operation, read, write
 
-__all__ = ["HistorySpace", "enumerate_histories", "canonical_key", "space_size"]
+__all__ = [
+    "HistorySpace",
+    "canonical_histories",
+    "canonical_key",
+    "enumerate_histories",
+    "space_size",
+]
 
 
 @dataclass(frozen=True)
@@ -51,6 +61,8 @@ class HistorySpace:
     def __post_init__(self) -> None:
         if self.procs < 1 or self.ops_per_proc < 1 or not self.locations:
             raise ValueError(f"degenerate history space {self}")
+        if len(set(self.locations)) != len(self.locations):
+            raise ValueError(f"duplicate location names in {self}")
 
     @property
     def slots(self) -> int:
@@ -61,6 +73,56 @@ class HistorySpace:
         return tuple(f"p{i}" for i in range(self.procs))
 
 
+def _shapes(space: HistorySpace) -> Iterator[tuple[tuple, list[int], list[list[int]]]]:
+    """Yield ``(shape, read_slots, read_options)`` for every shape, in order.
+
+    A shape assigns each slot a ``(kind, location)`` pair; ``read_options``
+    lists, per read slot, 0 plus the values written to its location.
+    """
+    shape_choices = [(kind, loc) for kind in ("w", "r") for loc in space.locations]
+    for shape in itertools.product(shape_choices, repeat=space.slots):
+        written: dict[str, list[int]] = {loc: [] for loc in space.locations}
+        for k, (kind, loc) in enumerate(shape):
+            if kind == "w":
+                written[loc].append(k + 1)
+        read_slots = [k for k, (kind, _) in enumerate(shape) if kind == "r"]
+        yield shape, read_slots, [[0] + written[shape[k][1]] for k in read_slots]
+
+
+def _builder(
+    space: HistorySpace, shape: tuple, read_slots: list[int]
+) -> Callable[[tuple[int, ...]], SystemHistory]:
+    """Return the function from read values to ``shape``'s history.
+
+    The function takes one value per read slot, in slot order.  Operations
+    are immutable, so each is built once per shape and shared by every
+    history of the shape that holds it.
+    """
+    names = space.proc_names()
+    n = space.ops_per_proc
+    ops: dict[tuple[int, int], Operation] = {}
+
+    def op(k: int, value: int) -> Operation:
+        made = ops.get((k, value))
+        if made is None:
+            kind, loc = shape[k]
+            make = write if kind == "w" else read
+            made = ops[k, value] = make(names[k // n], k % n, loc, value)
+        return made
+
+    def build(combo: tuple[int, ...]) -> SystemHistory:
+        values = [k + 1 for k in range(space.slots)]  # slot k writes k + 1
+        for k, value in zip(read_slots, combo):
+            values[k] = value
+        rows = []
+        for pi, proc in enumerate(names):
+            slots = range(pi * n, (pi + 1) * n)
+            rows.append(ProcessorHistory(proc, [op(k, values[k]) for k in slots]))
+        return SystemHistory(rows)
+
+    return build
+
+
 def enumerate_histories(space: HistorySpace) -> Iterator[SystemHistory]:
     """Yield every history of the space (writes distinct-valued by slot).
 
@@ -68,34 +130,70 @@ def enumerate_histories(space: HistorySpace) -> Iterator[SystemHistory]:
     writes value ``k + 1`` when it is a write.  Reads enumerate 0 plus all
     values written to their location by any slot of the current shape.
     """
-    n_slots = space.slots
-    shape_choices = [
-        (kind, loc) for kind in ("w", "r") for loc in space.locations
-    ]
-    proc_names = space.proc_names()
-    for shape in itertools.product(shape_choices, repeat=n_slots):
-        # Values available per location for this shape.
-        written: dict[str, list[int]] = {loc: [] for loc in space.locations}
-        for k, (kind, loc) in enumerate(shape):
-            if kind == "w":
-                written[loc].append(k + 1)
-        read_slots = [k for k, (kind, _) in enumerate(shape) if kind == "r"]
-        read_options = [
-            [0] + written[shape[k][1]] for k in read_slots
-        ]
+    for shape, read_slots, read_options in _shapes(space):
+        build = _builder(space, shape, read_slots)
         for combo in itertools.product(*read_options):
-            values = {k: v for k, v in zip(read_slots, combo)}
-            builder = HistoryBuilder()
-            for pi, proc in enumerate(proc_names):
-                builder.proc(proc)
-                for oi in range(space.ops_per_proc):
-                    k = pi * space.ops_per_proc + oi
-                    kind, loc = shape[k]
-                    if kind == "w":
-                        builder.write(loc, k + 1)
-                    else:
-                        builder.read(loc, values[k])
-            yield builder.build()
+            yield build(combo)
+
+
+def _shape_key(shape: tuple, order: tuple[int, ...]) -> tuple:
+    """``shape``'s slots in ``order``, locations renamed by first appearance."""
+    loc_ids: dict[str, int] = {}
+    return tuple(
+        (shape[k][0], loc_ids.setdefault(shape[k][1], len(loc_ids))) for k in order
+    )
+
+
+def canonical_histories(space: HistorySpace) -> Iterator[SystemHistory]:
+    """Yield the first history of each :func:`canonical_key` class, in order.
+
+    Equal, history for history, to keeping from :func:`enumerate_histories`
+    each history whose ``canonical_key`` was not seen before, but builds
+    only the histories it keeps.  Each candidate is keyed on plain tuples:
+    for a processor order, the slots' kinds with locations renamed by first
+    appearance, then each read's source as the position of the write it
+    reads in that order (-1 for the initial value).  Two histories share a
+    ``canonical_key`` exactly when some processor orders give them equal
+    tuples, because writes carry distinct values.
+
+    Enumeration is shape-major, so the first shape of a renaming class
+    holds a representative of every history of the class's later shapes,
+    which are skipped whole.  Within a shape only the processor orders
+    that minimize the shape's tuple can tell two read assignments apart;
+    they are found once per shape.
+    """
+    n = space.ops_per_proc
+    orders = [
+        tuple(p * n + i for p in perm for i in range(n))
+        for perm in itertools.permutations(range(space.procs))
+    ]
+    seen_shapes: set[tuple] = set()
+    for shape, read_slots, read_options in _shapes(space):
+        shape_keys = {order: _shape_key(shape, order) for order in orders}
+        best = min(shape_keys.values())
+        if best in seen_shapes:
+            continue
+        seen_shapes.add(best)
+        minimal = [order for order, key in shape_keys.items() if key == best]
+        # Per minimal order: where each value's writer sits (value 0, the
+        # initial value, at -1), and the read slots' indices in that order.
+        renamings = []
+        for order in minimal:
+            position = [-1] * (space.slots + 1)
+            for i, k in enumerate(order):
+                position[k + 1] = i
+            reads = [read_slots.index(k) for k in order if shape[k][0] == "r"]
+            renamings.append((position, reads))
+        build = _builder(space, shape, read_slots)
+        seen: set[tuple] = set()
+        for combo in itertools.product(*read_options):
+            key = min(
+                tuple([position[combo[j]] for j in reads])
+                for position, reads in renamings
+            )
+            if key not in seen:
+                seen.add(key)
+                yield build(combo)
 
 
 def space_size(space: HistorySpace) -> int:
@@ -104,21 +202,10 @@ def space_size(space: HistorySpace) -> int:
     Computed combinatorially (not by enumeration): for each shape, the
     product over read slots of ``1 + writes to that slot's location``.
     """
-    total = 0
-    shape_choices = [
-        (kind, loc) for kind in ("w", "r") for loc in space.locations
-    ]
-    for shape in itertools.product(shape_choices, repeat=space.slots):
-        written: dict[str, int] = {loc: 0 for loc in space.locations}
-        for kind, loc in shape:
-            if kind == "w":
-                written[loc] += 1
-        combos = 1
-        for kind, loc in shape:
-            if kind == "r":
-                combos *= 1 + written[loc]
-        total += combos
-    return total
+    return sum(
+        math.prod(len(options) for options in read_options)
+        for _, _, read_options in _shapes(space)
+    )
 
 
 def canonical_key(history: SystemHistory) -> tuple:

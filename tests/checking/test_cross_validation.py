@@ -13,19 +13,13 @@ import pytest
 
 from repro.analysis import random_history
 from repro.checking import MODELS
-from repro.lattice import HistorySpace, canonical_key, enumerate_histories
+from repro.lattice import HistorySpace, canonical_histories
 
 FAST_MODELS = ("SC", "TSO", "PRAM")
 
 
 def canonical_2x2():
-    space = HistorySpace(procs=2, ops_per_proc=2)
-    seen = set()
-    for h in enumerate_histories(space):
-        k = canonical_key(h)
-        if k not in seen:
-            seen.add(k)
-            yield h
+    return canonical_histories(HistorySpace(procs=2, ops_per_proc=2))
 
 
 @pytest.mark.parametrize("model", FAST_MODELS)

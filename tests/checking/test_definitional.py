@@ -9,7 +9,7 @@ import repro.checking.definitional as definitional
 from repro.checking.definitional import DEFINITIONAL_MAX_OPS, definitional_allowed
 from repro.core import CheckerError
 from repro.kernel import check_with_spec
-from repro.lattice import HistorySpace, canonical_key, enumerate_histories
+from repro.lattice import HistorySpace, canonical_histories
 from repro.litmus import CATALOG, parse_history
 from repro.spec import ALL_SPECS
 
@@ -49,12 +49,7 @@ def test_agrees_with_kernel_on_catalog_and_fixed_texts():
 
 
 def test_agrees_with_kernel_on_2x2_space():
-    seen, histories = set(), []
-    for h in enumerate_histories(HistorySpace(procs=2, ops_per_proc=2)):
-        key = canonical_key(h)
-        if key not in seen:
-            seen.add(key)
-            histories.append(h)
+    histories = list(canonical_histories(HistorySpace(procs=2, ops_per_proc=2)))
     assert len(histories) == 210
     _assert_agree(histories)
 

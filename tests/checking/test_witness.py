@@ -5,7 +5,7 @@ import pytest
 from repro.checking import MODELS
 from repro.checking.witness import validate_witness
 from repro.core import CheckerError, View
-from repro.lattice import HistorySpace, canonical_key, enumerate_histories
+from repro.lattice import HistorySpace, canonical_histories
 from repro.litmus import CATALOG, parse_history
 
 VALIDATABLE = (
@@ -27,13 +27,7 @@ class TestAcceptsGoodWitnesses:
                 )
 
     def test_sweep_2x2_space(self):
-        space = HistorySpace(procs=2, ops_per_proc=2)
-        seen = set()
-        for h in enumerate_histories(space):
-            k = canonical_key(h)
-            if k in seen:
-                continue
-            seen.add(k)
+        for h in canonical_histories(HistorySpace(procs=2, ops_per_proc=2)):
             for model in ("SC", "TSO", "PRAM", "Causal", "Coherence"):
                 m = MODELS[model]
                 result = m.check(h)

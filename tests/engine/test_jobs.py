@@ -1,5 +1,8 @@
 """Tests for the declarative sweep specs and their job expansion."""
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -47,6 +50,13 @@ class TestValidation:
         with pytest.raises(EngineError, match="location"):
             SweepSpec(source="random", locations=(loc,))
 
+    @pytest.mark.parametrize("source", ["catalog", "space", "random"])
+    def test_duplicate_locations(self, source):
+        # A repeated name would yield every space history twice and key
+        # the same histories under a second shape tag.
+        with pytest.raises(EngineError, match="duplicate location"):
+            SweepSpec(source=source, locations=("x", "x"))
+
 
 class TestModelResolution:
     def test_all_expands_to_registry(self):
@@ -81,6 +91,26 @@ class TestSpaceJobs:
         first = [j.key for j in spec.jobs()]
         assert first[0] == "space:2x2:x,y:000000"
         assert first == [j.key for j in spec.jobs()]
+
+    def test_2x3_job_stream_pinned(self):
+        # Stored sweeps resume by key, so the 2x3 stream's keys, histories
+        # and order must never drift.  The digest is that of the stream
+        # enumerate_histories + first-seen canonical_key produces.
+        spec = SweepSpec(source="space", procs=2, ops_per_proc=3, models=("SC",))
+        digest = hashlib.sha256()
+        count = 0
+        for job in spec.jobs():
+            line = json.dumps(
+                [job.key, history_to_dict(job.history)],
+                sort_keys=True,
+                separators=(",", ":"),
+            )
+            digest.update(line.encode() + b"\n")
+            count += 1
+        assert count == 12189
+        assert digest.hexdigest() == (
+            "30880be036d048f80b65357f77984989f146438fa0256d843af9f578b4559104"
+        )
 
 
 class TestRandomJobs:

@@ -11,9 +11,8 @@ import pytest
 from repro.checking import check
 from repro.lattice import (
     HistorySpace,
-    canonical_key,
+    canonical_histories,
     classify_histories,
-    enumerate_histories,
     space_size,
 )
 from repro.litmus import CATALOG
@@ -21,14 +20,7 @@ from repro.litmus import CATALOG
 
 @pytest.fixture(scope="module")
 def canonical_2x2():
-    space = HistorySpace(procs=2, ops_per_proc=2)
-    seen, hs = set(), []
-    for h in enumerate_histories(space):
-        k = canonical_key(h)
-        if k not in seen:
-            seen.add(k)
-            hs.append(h)
-    return hs
+    return list(canonical_histories(HistorySpace(procs=2, ops_per_proc=2)))
 
 
 class TestSpaceCardinalities:

@@ -12,20 +12,14 @@ import numpy as np
 
 from repro.analysis import machine_history, random_history
 from repro.checking import check_axiomatic_tso, check_tso
-from repro.lattice import HistorySpace, canonical_key, enumerate_histories
+from repro.lattice import HistorySpace, canonical_histories
 from repro.litmus import CATALOG, parse_history
 from repro.machines import TSOMachine
 
 
 class TestContainment:
     def test_paper_tso_contained_in_axiomatic_on_2x2_space(self):
-        space = HistorySpace(procs=2, ops_per_proc=2)
-        seen = set()
-        for h in enumerate_histories(space):
-            k = canonical_key(h)
-            if k in seen:
-                continue
-            seen.add(k)
+        for h in canonical_histories(HistorySpace(procs=2, ops_per_proc=2)):
             if check_tso(h).allowed:
                 assert check_axiomatic_tso(h).allowed, f"containment broken:\n{h}"
 
@@ -68,13 +62,7 @@ class TestDivergence:
     def test_agreement_without_forwarding_shapes(self):
         """On histories with no same-location w->r program pattern the two
         models agree (over the canonical 2x2 space)."""
-        space = HistorySpace(procs=2, ops_per_proc=2)
-        seen = set()
-        for h in enumerate_histories(space):
-            k = canonical_key(h)
-            if k in seen:
-                continue
-            seen.add(k)
+        for h in canonical_histories(HistorySpace(procs=2, ops_per_proc=2)):
             if _has_forwarding_shape(h):
                 continue
             assert check_tso(h).allowed == check_axiomatic_tso(h).allowed, str(h)

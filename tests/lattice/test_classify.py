@@ -5,11 +5,10 @@ import pytest
 from repro.lattice import (
     FIGURE5_EDGES,
     HistorySpace,
-    canonical_key,
+    canonical_histories,
     classify_histories,
     containment_violations,
     empirical_hasse,
-    enumerate_histories,
     hasse_levels,
     paper_hasse,
     separating_witnesses,
@@ -20,13 +19,7 @@ MODELS = ("SC", "TSO", "PC", "Causal", "PRAM")
 
 @pytest.fixture(scope="module")
 def small_space_result():
-    space = HistorySpace(procs=2, ops_per_proc=2)
-    seen, unique = set(), []
-    for h in enumerate_histories(space):
-        k = canonical_key(h)
-        if k not in seen:
-            seen.add(k)
-            unique.append(h)
+    unique = canonical_histories(HistorySpace(procs=2, ops_per_proc=2))
     return classify_histories(unique, MODELS)
 
 

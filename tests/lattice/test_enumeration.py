@@ -4,7 +4,13 @@ import itertools
 
 import pytest
 
-from repro.lattice import HistorySpace, canonical_key, enumerate_histories, space_size
+from repro.lattice import (
+    HistorySpace,
+    canonical_histories,
+    canonical_key,
+    enumerate_histories,
+    space_size,
+)
 
 
 class TestHistorySpace:
@@ -16,6 +22,11 @@ class TestHistorySpace:
             HistorySpace(procs=0)
         with pytest.raises(ValueError):
             HistorySpace(locations=())
+
+    def test_duplicate_locations_rejected(self):
+        # ("x", "x") would enumerate every history twice.
+        with pytest.raises(ValueError, match="duplicate location"):
+            HistorySpace(procs=1, ops_per_proc=1, locations=("x", "x"))
 
 
 class TestEnumeration:
@@ -80,3 +91,31 @@ class TestCanonicalization:
         assert len(seen) < total
         # Measured constant, guards against canonicalization regressions.
         assert len(seen) == 210
+
+
+def _first_seen(space: HistorySpace) -> list:
+    """The reference: enumerate everything, keep each canonical_key once."""
+    seen: set = set()
+    kept = []
+    for h in enumerate_histories(space):
+        key = canonical_key(h)
+        if key not in seen:
+            seen.add(key)
+            kept.append(h)
+    return kept
+
+
+class TestCanonicalHistories:
+    @pytest.mark.parametrize(
+        "space",
+        [
+            HistorySpace(procs, ops, ("x", "y", "z")[:locs])
+            for procs in (1, 2, 3)
+            for ops in (1, 2)
+            for locs in (1, 2, 3)
+        ]
+        + [HistorySpace(procs=2, ops_per_proc=3)],
+        ids=lambda s: f"{s.procs}x{s.ops_per_proc}:{len(s.locations)}loc",
+    )
+    def test_equals_first_seen_representatives(self, space):
+        assert list(canonical_histories(space)) == _first_seen(space)

@@ -2,21 +2,14 @@
 
 from repro.lattice import (
     HistorySpace,
-    canonical_key,
+    canonical_histories,
     classify_histories,
-    enumerate_histories,
     lattice_report,
 )
 
 
 def small_result():
-    space = HistorySpace(procs=2, ops_per_proc=2)
-    seen, hs = set(), []
-    for h in enumerate_histories(space):
-        k = canonical_key(h)
-        if k not in seen:
-            seen.add(k)
-            hs.append(h)
+    hs = canonical_histories(HistorySpace(procs=2, ops_per_proc=2))
     return classify_histories(hs, ("SC", "TSO", "PC", "Causal", "PRAM"))
 
 
