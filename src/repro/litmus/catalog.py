@@ -9,6 +9,7 @@ record our measured verdict in EXPERIMENTS.md).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from repro.core.history import SystemHistory
@@ -26,9 +27,13 @@ class LitmusTest:
     expected: Mapping[str, bool]
     source: str = ""
 
-    @property
+    @cached_property
     def history(self) -> SystemHistory:
-        """The parsed history (reparsed on access; histories are small)."""
+        """The parsed history, parsed on first access and then shared.
+
+        A :class:`SystemHistory` is immutable, so every caller can hold
+        the same instance.
+        """
         return parse_history(self.text)
 
 

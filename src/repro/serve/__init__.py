@@ -10,7 +10,7 @@ content hash, so repeated submissions are served from the store instead
 of re-searched.
 
 - :mod:`repro.serve.service` — :class:`CheckService`: content-addressed
-  job keys, a thread worker pool with per-thread relation caches, the
+  job keys, a thread worker pool, a response cache of encoded bodies, the
   async job table (sweeps), the incremental session table (LRU-bounded
   :class:`~repro.engine.session.EngineSession` instances behind
   ``POST /session`` + ``/session/<id>/append``), store integration, and

@@ -35,9 +35,11 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import json
 import logging
 import signal
 import threading
+from concurrent.futures import Future
 from typing import Any
 
 from repro.checking.models import model_names
@@ -56,7 +58,7 @@ class ServeApp:
     def __init__(self, service: CheckService) -> None:
         self.service = service
 
-    async def handle(self, request: HttpRequest) -> tuple[int, dict]:
+    async def handle(self, request: HttpRequest) -> tuple[int, dict | bytes]:
         """The :class:`~repro.serve.http.HttpServer` handler coroutine."""
         method, path = request.method, request.path.rstrip("/") or "/"
         try:
@@ -97,13 +99,13 @@ class ServeApp:
 
     # -- the endpoints -----------------------------------------------------------
 
-    async def _check(self, body: dict) -> tuple[int, dict]:
+    async def _check(self, body: dict) -> tuple[int, dict | bytes]:
         if "history" not in body:
             raise ServeError('POST /check needs a "history" field')
         key, outcome = self.service.submit_check(
             body["history"], body.get("models")
         )
-        if isinstance(outcome, dict):  # cache or store hit
+        if not isinstance(outcome, Future):  # cache or store hit
             return 200, outcome
         if body.get("async"):
             return 202, {
@@ -111,7 +113,9 @@ class ServeApp:
                 "status": "queued",
                 "poll": f"/result/{key}",
             }
-        return 200, await asyncio.wrap_future(outcome)
+        # Shielded: a request that times out stops waiting without
+        # cancelling a check that other requests may share.
+        return 200, await asyncio.shield(asyncio.wrap_future(outcome))
 
     async def _session_create(self, body: dict) -> tuple[int, dict]:
         future = self.service.create_session(body)
@@ -152,7 +156,7 @@ class ServeApp:
             return 404, {"error": f"unknown job {job_id!r}"}
         return 200, job.describe()
 
-    def _result(self, key: str) -> tuple[int, dict]:
+    def _result(self, key: str) -> tuple[int, dict | bytes]:
         response = self.service.cached_response(key)
         if response is None:
             return 404, {"error": f"no completed result for key {key!r}"}
@@ -162,6 +166,8 @@ class ServeApp:
         response = self.service.cached_response(key)
         if response is None:
             return 404, {"error": f"no completed result for key {key!r}"}
+        if isinstance(response, bytes):
+            response = json.loads(response)
         return 200, {
             "key": key,
             "models": response.get("models", {}),

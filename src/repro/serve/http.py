@@ -10,7 +10,8 @@ line.  Graceful shutdown stops the listener first, then waits for
 open connections to finish their in-flight request.
 
 The handler contract is a coroutine ``(HttpRequest) -> (status,
-payload_dict)``; routing lives in :mod:`repro.serve.app`.
+payload)``, where the payload is a dict to encode or a body already
+encoded by :func:`json_body`; routing lives in :mod:`repro.serve.app`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Awaitable, Callable
 
-__all__ = ["HttpError", "HttpRequest", "HttpServer", "STATUS_PHRASES"]
+__all__ = ["HttpError", "HttpRequest", "HttpServer", "STATUS_PHRASES", "json_body"]
 
 log = logging.getLogger("repro.serve")
 
@@ -144,9 +145,18 @@ async def read_request(
     )
 
 
-def response_bytes(status: int, payload: dict) -> bytes:
-    """One complete HTTP/1.1 response with a JSON body."""
-    body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+def json_body(payload: dict) -> bytes:
+    """The one JSON encoding of every response body (sorted keys)."""
+    return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+
+
+def response_bytes(status: int, payload: dict | bytes) -> bytes:
+    """One complete HTTP/1.1 response with a JSON body.
+
+    A ``bytes`` payload is a body :func:`json_body` already encoded and
+    is written as it is.
+    """
+    body = payload if isinstance(payload, bytes) else json_body(payload)
     phrase = STATUS_PHRASES.get(status, "Unknown")
     head = (
         f"HTTP/1.1 {status} {phrase}\r\n"
@@ -157,8 +167,9 @@ def response_bytes(status: int, payload: dict) -> bytes:
     return head + body
 
 
-#: The routing contract: a coroutine from request to (status, payload).
-Handler = Callable[[HttpRequest], Awaitable[tuple[int, dict]]]
+#: The routing contract: a coroutine from request to (status, payload),
+#: the payload a dict or an encoded body (see :func:`response_bytes`).
+Handler = Callable[[HttpRequest], Awaitable[tuple[int, dict | bytes]]]
 
 
 class HttpServer:
@@ -263,7 +274,7 @@ class HttpServer:
             except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
                 pass
 
-    async def _dispatch(self, request: HttpRequest) -> tuple[int, dict]:
+    async def _dispatch(self, request: HttpRequest) -> tuple[int, dict | bytes]:
         """Run the handler under the per-request timeout; map failures."""
         try:
             return await asyncio.wait_for(

@@ -6,7 +6,11 @@ each job by a content hash of ``(canonical history, model set)``, runs
 checks on a thread pool, lands every verdict in a result store (either
 backend of :func:`repro.engine.sqlstore.open_store`), and answers repeat
 submissions from the store or the in-memory result cache instead of
-re-searching.
+re-searching.  The cache holds each completed check's response as its
+encoded JSON body, encoded once in the worker thread that ran the
+check, so a repeat costs the event loop a key lookup and a socket
+write.  Concurrent submissions of one key share one future: the check
+runs once.
 
 Sweeps are *async jobs*: submission returns a job id immediately (itself
 content-addressed, so resubmitting a finished sweep returns its report),
@@ -36,6 +40,7 @@ pair).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import secrets
@@ -60,6 +65,7 @@ from repro.engine import CheckEngine, SweepSpec, open_store
 from repro.engine.session import EngineSession
 from repro.kernel.constraints import plane_cache_stats
 from repro.obs.sink import SessionStatsSink, tracing
+from repro.serve.http import json_body
 
 __all__ = [
     "CheckService",
@@ -81,7 +87,7 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 8979
-    #: Worker threads checking histories (each with its own relation cache).
+    #: Worker threads checking histories.
     workers: int = 2
     #: Store URL (see :func:`repro.engine.sqlstore.open_store`); ``None``
     #: serves from memory only.
@@ -94,11 +100,19 @@ class ServeConfig:
     request_timeout: float = 30.0
     #: Emit one structured JSON log line per request.
     log_requests: bool = True
-    #: Bound on in-memory cached check responses (the store is durable).
+    #: Bound on in-memory cached check response bodies (the store is
+    #: durable).
     result_cache: int = 4096
     #: Bound on live incremental sessions; creating one past the bound
     #: evicts the least-recently-used session.
     max_sessions: int = 64
+
+
+#: How a completed check's encoded body starts.  ``"cached"`` sorts first
+#: among the response's keys, so the cold and the hit body of one check
+#: differ only in this prefix and come from one encode.
+_COLD_PREFIX = b'{"cached": false'
+_HIT_PREFIX = b'{"cached": true'
 
 
 def _canonical(payload: Any) -> str:
@@ -236,7 +250,12 @@ class CheckService:
             max_workers=max(1, self.config.workers),
             thread_name_prefix="repro-serve",
         )
-        self._results: OrderedDict[str, dict] = OrderedDict()
+        # Completed checks' hit bodies, oldest first, bounded by
+        # ``result_cache``; and the futures of checks still running, by
+        # key.  One lock guards both, so a key moves from the second to
+        # the first without a moment in neither.
+        self._results: OrderedDict[str, bytes] = OrderedDict()
+        self._inflight: dict[str, Future] = {}
         self._results_lock = threading.Lock()
         self._jobs: dict[str, Job] = {}
         self._jobs_lock = threading.Lock()
@@ -284,8 +303,12 @@ class CheckService:
 
     def _run_check(
         self, key: str, history: SystemHistory, models: tuple[str, ...]
-    ) -> dict:
-        """Check one history under each model (worker-thread body)."""
+    ) -> bytes:
+        """Check one history under each model (worker-thread body).
+
+        Returns the cold response body and remembers the hit body; both
+        are encoded here, off the event loop.
+        """
         from repro.litmus import format_history
 
         results: dict[str, dict] = {}
@@ -313,13 +336,14 @@ class CheckService:
             "results": results,
             "cached": False,
         }
+        body = json_body(response)
         if self.store is not None:
             with self._store_lock:
                 self.store.append_result(
                     key, verdicts, explored, views=views or None
                 )
-        self._remember(key, response)
-        return response
+        self._remember(key, _HIT_PREFIX + body[len(_COLD_PREFIX) :])
+        return body
 
     def _note_verdict(self, model: str, allowed: bool, seconds: float) -> None:
         verdict = "admit" if allowed else "deny"
@@ -333,23 +357,34 @@ class CheckService:
                 self._model_seconds.get(model, 0.0) + seconds
             )
 
-    def _remember(self, key: str, response: dict) -> None:
+    def _remember(self, key: str, body: bytes) -> None:
         with self._results_lock:
-            self._results[key] = response
+            self._results[key] = body
             self._results.move_to_end(key)
             while len(self._results) > self.config.result_cache:
                 self._results.popitem(last=False)
 
     # -- lookups -----------------------------------------------------------------
 
-    def cached_response(self, key: str) -> dict | None:
-        """The response for ``key`` from memory or the store, if known."""
+    def cached_response(self, key: str) -> bytes | dict | None:
+        """The response for ``key``, if known.
+
+        A check in the memory cache comes back as its encoded hit body,
+        ready to write; one only the store knows, as the store record's
+        response dict; an unknown key as ``None``.
+        """
         with self._results_lock:
-            hit = self._results.get(key)
-        if hit is not None:
-            with self._stats_lock:
-                self._counters["cache_hits"] += 1
-            return {**hit, "cached": True}
+            body = self._results.get(key)
+        if body is not None:
+            self._note_cache_hit()
+            return body
+        return self._stored_response(key)
+
+    def _note_cache_hit(self) -> None:
+        with self._stats_lock:
+            self._counters["cache_hits"] += 1
+
+    def _stored_response(self, key: str) -> dict | None:
         if self.store is None:
             return None
         with self._store_lock:
@@ -378,15 +413,45 @@ class CheckService:
 
     def submit_check(
         self, history_input: Any, models_input: Any = None
-    ) -> tuple[str, dict | Future]:
-        """Key plus either a finished response (cache hit) or a future."""
+    ) -> tuple[str, bytes | dict | Future]:
+        """Key plus the outcome, answered without the pool where possible.
+
+        The outcome is the encoded hit body (memory cache), the store
+        record's response dict (store hit), or a future of the cold
+        body.  A key already being checked gets that check's future.
+        """
         history = resolve_history(history_input)
         models = resolve_models(models_input)
         key = job_key(history, models)
-        cached = self.cached_response(key)
-        if cached is not None:
-            return key, cached
-        return key, self._submit(self._run_check, key, history, models)
+        with self._results_lock:
+            body = self._results.get(key)
+            pending = self._inflight.get(key)
+        if body is not None:
+            self._note_cache_hit()
+            return key, body
+        if pending is not None:
+            return key, pending
+        stored = self._stored_response(key)
+        if stored is not None:
+            return key, stored
+        with self._results_lock:
+            # Another thread may have submitted the key meanwhile.
+            pending = self._inflight.get(key)
+            if pending is None:
+                future = self._submit(self._run_check, key, history, models)
+                self._inflight[key] = future
+        if pending is not None:
+            return key, pending
+        # Outside the lock: a future already done runs the callback at
+        # once, in this thread.
+        future.add_done_callback(functools.partial(self._settle, key))
+        return key, future
+
+    def _settle(self, key: str, future: Future) -> None:
+        """Drop a finished (done, failed or cancelled) check's future."""
+        with self._results_lock:
+            if self._inflight.get(key) is future:
+                del self._inflight[key]
 
     def submit_sweep(self, params: dict) -> Job:
         """Queue a sweep job; returns its (content-addressed) job entry."""

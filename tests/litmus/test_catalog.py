@@ -7,7 +7,13 @@ This is the machine-checked version of the paper's litmus figures: each
 import pytest
 
 from repro.checking import check
-from repro.litmus import CATALOG, get_test, paper_figures, catalog_names
+from repro.litmus import (
+    CATALOG,
+    catalog_names,
+    get_test,
+    paper_figures,
+    parse_history,
+)
 
 CASES = [
     (name, model, expected)
@@ -53,3 +59,9 @@ def test_all_catalog_entries_have_sources():
 def test_get_test_unknown_raises():
     with pytest.raises(KeyError):
         get_test("no-such-test")
+
+
+def test_history_is_parsed_once_and_shared():
+    for entry in CATALOG.values():
+        assert entry.history is entry.history, entry.name
+        assert entry.history == parse_history(entry.text), entry.name

@@ -9,6 +9,7 @@ from repro.serve.http import (
     HttpError,
     HttpRequest,
     HttpServer,
+    json_body,
     read_request,
     response_bytes,
 )
@@ -75,6 +76,9 @@ class TestReadRequest:
         assert head.startswith(b"HTTP/1.1 200 OK\r\n")
         assert b"Content-Length: %d" % len(body) in head
         assert json.loads(body) == {"ok": True}
+        # An encoded body is written as it is.
+        assert body == json_body({"ok": True})
+        assert response_bytes(200, body) == raw
 
 
 async def _request_line(port: int, raw: bytes) -> bytes:

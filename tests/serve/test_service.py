@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -56,7 +58,7 @@ class TestJobKey:
 
 class TestResolveHistory:
     def test_prefix_match(self):
-        # Catalog entries rebuild their history per access: compare by key.
+        assert resolve_history("fig1") is CATALOG["fig1-sb"].history
         assert job_key(resolve_history("fig1"), ("SC",)) == job_key(
             CATALOG["fig1-sb"].history, ("SC",)
         )
@@ -106,7 +108,7 @@ class TestServiceCaching:
         first = CheckService(ServeConfig(store_url=url, workers=1))
         try:
             key, outcome = first.submit_check("fig1-sb", "SC,TSO")
-            response = outcome.result(timeout=60)
+            response = json.loads(outcome.result(timeout=60))
             assert response["models"] == {"SC": False, "TSO": True}
         finally:
             first.drain()
@@ -121,7 +123,8 @@ class TestServiceCaching:
             # And a resubmission resolves without touching the pool.
             key2, outcome2 = second.submit_check("fig1-sb", "SC,TSO")
             assert key2 == key
-            assert isinstance(outcome2, dict)
+            assert not isinstance(outcome2, Future)
+            assert outcome2 == hit
         finally:
             second.drain()
 
@@ -132,8 +135,132 @@ class TestServiceCaching:
             outcome.result(timeout=60)
             key2, hit = service.submit_check("fig1-sb", "SC")
             assert key2 == key
-            assert isinstance(hit, dict) and hit["cached"] is True
+            assert not isinstance(hit, Future)  # answered without the pool
+            assert json.loads(hit)["cached"] is True
             assert service.stats()["counters"]["cache_hits"] == 1
+        finally:
+            service.drain()
+
+    def test_result_cache_evicts_the_oldest_bodies(self):
+        service = CheckService(ServeConfig(workers=1, result_cache=2))
+        try:
+            for name in ("fig1-sb", "mp", "iriw"):
+                _, outcome = service.submit_check(name, "SC")
+                outcome.result(timeout=60)
+            for name in ("iriw", "mp"):
+                _, hit = service.submit_check(name, "SC")
+                assert isinstance(hit, bytes), name
+            _, evicted = service.submit_check("fig1-sb", "SC")
+            assert isinstance(evicted, Future)  # checked again
+            evicted.result(timeout=60)
+            assert service.stats()["counters"] == {
+                "checks": 4,
+                "cache_hits": 2,
+                "store_hits": 0,
+                "sweeps": 0,
+            }
+        finally:
+            service.drain()
+
+
+def _block_pool(service: CheckService) -> threading.Event:
+    """Occupy a one-worker pool until the returned event is set."""
+    release = threading.Event()
+    started = threading.Event()
+
+    def hold() -> None:
+        started.set()
+        release.wait(60)
+
+    service._executor.submit(hold)
+    assert started.wait(60)
+    return release
+
+
+class TestCoalescing:
+    MODELS = "SC,TSO,PC"
+
+    def test_identical_submissions_share_one_check(self, tmp_path):
+        url = f"sqlite:{tmp_path}/serve.db"
+        service = CheckService(ServeConfig(store_url=url, workers=1))
+        release = _block_pool(service)
+        try:
+            key, first = service.submit_check("iriw", self.MODELS)
+            key2, second = service.submit_check("iriw", self.MODELS)
+            assert key2 == key
+            assert isinstance(first, Future) and second is first
+            release.set()
+            body = first.result(timeout=60)
+            assert json.loads(body)["cached"] is False
+            assert service.stats()["counters"]["checks"] == 3
+            _, hit = service.submit_check("iriw", self.MODELS)
+            assert isinstance(hit, bytes)
+        finally:
+            release.set()
+            service.drain()
+        store = SqliteResultStore(tmp_path / "serve.db")
+        results = [r for r in store.records() if r["type"] == "result"]
+        assert [r["key"] for r in results] == [key]
+
+    def test_a_failed_check_is_not_shared_afterwards(self, monkeypatch):
+        service = CheckService(ServeConfig(workers=1))
+        real = service._run_check
+        calls = []
+
+        def flaky(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise RuntimeError("boom")
+            return real(*args)
+
+        monkeypatch.setattr(service, "_run_check", flaky)
+        try:
+            _, failed = service.submit_check("mp", "SC")
+            # Callbacks run in registration order: once this one has
+            # run, the service has dropped the failed future.
+            settled = threading.Event()
+            failed.add_done_callback(lambda _: settled.set())
+            assert settled.wait(60)
+            assert isinstance(failed.exception(), RuntimeError)
+            _, retried = service.submit_check("mp", "SC")
+            assert isinstance(retried, Future) and retried is not failed
+            assert json.loads(retried.result(timeout=60))["models"] == {"SC": False}
+            assert len(calls) == 2
+        finally:
+            service.drain()
+
+    def test_concurrent_submitters_run_the_check_once(self):
+        """Stress: many threads, a tiny switch interval, one key."""
+        service = CheckService(ServeConfig(workers=2))
+        threads_n = 8
+        barrier = threading.Barrier(threads_n)
+        outcomes: list = [None] * threads_n
+
+        def submit(i: int) -> None:
+            barrier.wait(60)
+            outcomes[i] = service.submit_check("wrc", self.MODELS)[1]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=submit, args=(i,)) for i in range(threads_n)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            # Each submitter joined the one check or, if it came late,
+            # got the cached body.
+            futures = [o for o in outcomes if isinstance(o, Future)]
+            assert futures and all(f is futures[0] for f in futures)
+            assert all(isinstance(o, (Future, bytes)) for o in outcomes)
+            futures[0].result(timeout=60)
+            assert service.stats()["counters"]["checks"] == 3
         finally:
             service.drain()
 
