@@ -162,8 +162,7 @@ def test_engine_parallel_speedup(record_claims, benchmark):
     ``jobs=1`` and at ``jobs=min(4, cpus)``. The >1.5× speedup claim is
     asserted only on multi-core hosts — a single-CPU container cannot speed
     anything up, so there the measured ratio is recorded informationally
-    instead. Result equality and a warm relation cache are asserted
-    everywhere.
+    instead. Result equality is asserted everywhere.
     """
     import os
 
@@ -189,8 +188,6 @@ def test_engine_parallel_speedup(record_claims, benchmark):
         rows = [
             ("engine results identical serial vs parallel", True,
              serial.results == parallel.results),
-            ("relation cache hit rate > 0", True,
-             parallel.metrics.cache_hit_rate > 0),
         ]
         if cpus >= 2:
             rows.append(
@@ -203,9 +200,9 @@ def test_engine_parallel_speedup(record_claims, benchmark):
                 ("parallel speedup on 1 CPU (informational)", "-",
                  round(speedup, 2))
             )
-        return rows, serial_s, parallel_s, jobs, serial.metrics.cache_hit_rate
+        return rows, serial_s, parallel_s, jobs
 
-    rows, serial_s, parallel_s, jobs, hit_rate = benchmark.pedantic(
+    rows, serial_s, parallel_s, jobs = benchmark.pedantic(
         verify, rounds=1, iterations=1
     )
     for claim, paper, measured in rows:
@@ -213,7 +210,7 @@ def test_engine_parallel_speedup(record_claims, benchmark):
     print(
         f"\n   2x2 space sweep (210 histories x all models): "
         f"serial {serial_s:.2f}s, jobs={jobs} {parallel_s:.2f}s "
-        f"({serial_s / parallel_s:.2f}x); cache hit rate {hit_rate:.1%}"
+        f"({serial_s / parallel_s:.2f}x)"
     )
 
 

@@ -82,9 +82,9 @@ def accepting_models(
 ) -> set[str]:
     """The spectrum models that allow the history.
 
-    With an ``engine``, the verdicts come from its relation-cached
-    :meth:`~repro.engine.CheckEngine.classify` — one substrate computation
-    shared across all nine models instead of nine re-derivations.
+    With an ``engine``, the verdicts come from its
+    :meth:`~repro.engine.CheckEngine.classify`; the results are identical
+    either way.
     """
     if engine is not None:
         verdicts = engine.classify(history, SPECTRUM_MODELS)

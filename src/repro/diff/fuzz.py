@@ -43,7 +43,6 @@ from repro.diff.programs import (
 from repro.diff.shapes import ShapePreset, resolve_shapes
 from repro.diff.shrink import ShrinkResult, shrink_history
 from repro.lattice.classify import extended_edges
-from repro.orders.memo import relation_memo
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine maps panels)
     from repro.engine.pool import CheckEngine
@@ -306,12 +305,7 @@ def run_fuzz(
         if engine is not None:
             panels = engine.map_panel(todo, models)
         else:
-            # Serial path: memoize the derived relations history-major, so
-            # the panel's oracles share one substrate per history.
-            panels = []
-            with relation_memo():
-                for h in todo:
-                    panels.append(panel_verdicts(h, models))
+            panels = [panel_verdicts(h, models) for h in todo]
 
         for offset, (history, panel) in enumerate(zip(todo, panels)):
             index = already + offset
@@ -477,10 +471,7 @@ def harvest_fixtures(
         if engine is not None:
             panels = engine.map_panel(histories, models)
         else:
-            panels = []
-            with relation_memo():
-                for h in histories:
-                    panels.append(panel_verdicts(h, models))
+            panels = [panel_verdicts(h, models) for h in histories]
         for index, (history, panel) in enumerate(zip(histories, panels)):
             if not wanted:
                 break

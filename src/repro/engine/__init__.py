@@ -8,9 +8,6 @@ declarative, resumable, parallelizable workload:
   :class:`CheckJob` units.
 - :mod:`repro.engine.pool` — :class:`CheckEngine` executes jobs serially
   or on a multiprocessing pool; results are byte-identical either way.
-- :mod:`repro.engine.cache` — :class:`RelationCache`, a relation memo
-  keyed by canonical history key, for callers that install one with
-  :func:`~repro.orders.memo.relation_memo` (no engine loop does).
 - :mod:`repro.engine.store` — :class:`ResultStore`, the append-only JSONL
   log with resume-by-key support.
 - :mod:`repro.engine.sqlstore` — :class:`SqliteResultStore`, the
@@ -33,7 +30,6 @@ Quickstart::
     print(report.render())
 """
 
-from repro.engine.cache import RelationCache
 from repro.engine.jobs import SOURCES, CheckJob, SweepSpec
 from repro.engine.metrics import EngineMetrics
 from repro.engine.pool import CheckEngine, SweepReport
@@ -53,7 +49,6 @@ __all__ = [
     "EngineMetrics",
     "EngineSession",
     "JsonlLog",
-    "RelationCache",
     "ResultStore",
     "SOURCES",
     "STORE_VERSION",

@@ -2,8 +2,8 @@
 
 Workers return plain-dictionary partial metrics (picklable across the
 process boundary); the driver merges them into one :class:`EngineMetrics`
-and renders the end-of-run summary: histories per second, relation-cache
-hit rate, and per-model wall time.
+and renders the end-of-run summary: histories per second, per-phase and
+per-model wall time.
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ class EngineMetrics:
     #: Always 0: no engine check runs the static prepass.  Kept because
     #: ``bench/workloads.py`` reads it; the next benchmark change drops the read.
     prepass_decided: int = 0
-    #: Always 0: no engine loop runs a relation cache (E23).  Kept because
-    #: ``bench/workloads.py`` reads them; the next benchmark change drops the read.
+    #: Always 0: the engine has no relation cache (E23, E28).  Kept, with
+    #: :attr:`cache_lookups`, because ``bench/workloads.py`` reads them; the
+    #: next benchmark change drops the read.
     cache_hits: int = 0
     cache_misses: int = 0
     wall_seconds: float = 0.0
@@ -71,12 +72,6 @@ class EngineMetrics:
         return self.cache_hits + self.cache_misses
 
     @property
-    def cache_hit_rate(self) -> float:
-        """Fraction of relation lookups served from the cache."""
-        total = self.cache_lookups
-        return self.cache_hits / total if total else 0.0
-
-    @property
     def histories_per_second(self) -> float:
         return self.histories / self.wall_seconds if self.wall_seconds > 0 else 0.0
 
@@ -90,7 +85,6 @@ class EngineMetrics:
             "skipped": self.skipped,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
-            "cache_hit_rate": round(self.cache_hit_rate, 4),
             "wall_seconds": round(self.wall_seconds, 6),
             "histories_per_second": round(self.histories_per_second, 2),
             "workers": self.workers,
@@ -110,8 +104,6 @@ class EngineMetrics:
             f"wall time: {self.wall_seconds:.3f}s  "
             f"({self.histories_per_second:.1f} histories/sec, "
             f"jobs={self.workers})",
-            f"cache hit rate: {self.cache_hit_rate:.1%} "
-            f"(hits={self.cache_hits}, misses={self.cache_misses})",
         ]
         if self.phase_seconds:
             parts = ", ".join(

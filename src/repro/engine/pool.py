@@ -70,9 +70,9 @@ def _init_worker(store_views: bool) -> None:
 def _run_chunk_impl(chunk: Sequence[_Payload], store_views: bool) -> dict:
     """Check every payload of ``chunk``; returns its result records.
 
-    No relation cache: the kernel compiles each history once into its
-    shared plane, and a memo around these checks cost more than it saved
-    (EXPERIMENTS.md E23).
+    History-major: the kernel checks of one history share its compiled
+    substrate through the plane cache, the only per-history cache
+    (EXPERIMENTS.md E23, E28).
     """
     records: list[dict] = []
     for key, history, models in chunk:

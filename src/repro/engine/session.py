@@ -1,4 +1,4 @@
-"""Session-aware incremental checking: one stream, many models, one memo.
+"""Session-aware incremental checking: one stream, many models.
 
 The kernel's :class:`~repro.kernel.incremental.IncrementalCheck` answers
 per-op admit/deny for *one* compiled spec.  The workload the serve layer
@@ -11,11 +11,9 @@ coordinator:
   history is appended to (and the compiled plane grown) exactly once per
   operation, not once per model;
 * one :class:`~repro.kernel.incremental.IncrementalCheck` per model,
-  each keeping its own prefix failure memory and verdict log;
-* one session-held :class:`~repro.orders.memo.RelationMemo`, activated
-  around every append so the models of a single prefix share the derived
-  order relations (po/ppo/rf/wb are functions of the history, not the
-  spec) the way an engine sweep shares them across a batch.
+  each keeping its own prefix failure memory and verdict log.  The
+  models of one prefix share its compiled substrate through the stream's
+  plane, the kernel's one per-history cache.
 
 Sessions are single-threaded by contract — the serve layer serializes
 appends per session with a lock.  The kernel's plane cache is a bounded
@@ -37,7 +35,6 @@ from repro.kernel.incremental import HistoryStream, IncrementalCheck
 from repro.kernel.results import CheckResult
 from repro.kernel.search import SearchBudget
 from repro.litmus.dsl import parse_operations
-from repro.orders.memo import RelationMemo, relation_memo
 
 __all__ = ["EngineSession", "parse_op_line"]
 
@@ -104,10 +101,6 @@ class EngineSession:
             raise EngineError(str(exc)) from exc
         self.models = names
         self.stream = HistoryStream(history)
-        # The session's relation memo: po/ppo/rf/wb of the *current*
-        # prefix, shared across the model set of one append.  Two tables
-        # keep the just-replaced prefix warm for stragglers.
-        self.memo = RelationMemo(max_histories=2)
         self.checks: dict[str, IncrementalCheck] = {
             name: IncrementalCheck(
                 MODELS[name].spec,  # type: ignore[arg-type]  # validated above
@@ -117,10 +110,9 @@ class EngineSession:
             for name in names
         }
         self.appends = 0
-        with relation_memo(self.memo):
-            self.last_results: dict[str, CheckResult] = {
-                name: check.check() for name, check in self.checks.items()
-            }
+        self.last_results: dict[str, CheckResult] = {
+            name: check.check() for name, check in self.checks.items()
+        }
 
     # -- the streaming API -------------------------------------------------------
 
@@ -134,9 +126,8 @@ class EngineSession:
         placed, reused = self.stream.append(op)
         self.appends += 1
         results: dict[str, CheckResult] = {}
-        with relation_memo(self.memo):
-            for name, check in self.checks.items():
-                results[name] = check.on_appended((placed,), reused)
+        for name, check in self.checks.items():
+            results[name] = check.on_appended((placed,), reused)
         self.last_results = results
         return results
 

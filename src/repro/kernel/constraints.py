@@ -17,12 +17,12 @@ search layer runs on:
 * the reads-from propagation edges that make the search incremental
   (see :func:`CompiledConstraints.candidate_propagation`).
 
-Compilation is split into what depends on the history and spec alone
-(:class:`CompiledConstraints`, cacheable across checks — an active
-:func:`~repro.orders.memo.relation_memo` stores these keyed by
-``(history, spec.cache_key)``) and what depends on the reads-from
-attribution (:class:`AttributionPlane`, one per enumerated attribution and
-cached for the unambiguous one).
+Compilation is split into what depends on the history alone
+(:class:`HistoryPlane`, the one per-history cache: a bounded LRU shared by
+every spec checked against that history), what depends on the history and
+spec (:class:`CompiledConstraints`, a thin per-check view onto the plane)
+and what depends on the reads-from attribution (:class:`AttributionPlane`,
+one per enumerated attribution and cached for the unambiguous one).
 
 Mask conventions: ``masks[j]`` bit ``i`` set means *operation i must precede
 operation j*.  :func:`close_masks` is a bitset transitive closure;
@@ -42,7 +42,6 @@ from repro.core.errors import KernelError
 from repro.core.history import SystemHistory
 from repro.core.operation import INITIAL_VALUE, Operation
 from repro.kernel.backend import active_backend, close_masks, masks_acyclic
-from repro.orders.memo import active_memo
 from repro.orders.relation import Relation
 from repro.orders.writes_before import ReadsFrom, reads_from_candidates
 from repro.spec.model_spec import MemoryModelSpec
@@ -242,11 +241,10 @@ class HistoryPlane:
     def __init__(self, history: SystemHistory) -> None:
         self.history = history
         self.ops: tuple[Operation, ...] = history.operations
-        # Keyed by operation *value*, not identity: a canonical-key relation
-        # cache serves one table to value-equal histories (two parses of the
-        # same litmus text), so a compiled plane must accept the equal twin's
-        # operation objects.  Values are unique within a history (proc,
-        # index), so the map is bijective either way.
+        # Keyed by operation *value*, so a value-equal twin's operation
+        # objects (a second parse of the same litmus text) index the same
+        # way.  Values are unique within a history (proc, index), so the
+        # map is bijective either way.
         self.index: dict[Operation, int] = {op: i for i, op in enumerate(self.ops)}
         self.n = len(self.ops)
         # One classification pass over the universe; every view plane is a
@@ -1225,17 +1223,10 @@ class CompiledConstraints:
 def compile_constraints(
     spec: MemoryModelSpec, history: SystemHistory
 ) -> CompiledConstraints:
-    """Compile ``spec`` for ``history``, via the active relation memo if any.
+    """Compile ``spec`` for ``history``.
 
-    Inside an engine sweep (or any :func:`~repro.orders.memo.relation_memo`
-    block) each ``(history, parameter-bundle)`` pair is compiled once and
-    shared by every subsequent check.
+    The spec-independent part comes from the plane cache
+    (:func:`history_plane`), so checking one history under many specs
+    compiles its substrate once.
     """
-    memo = active_memo()
-    if memo is None:
-        return CompiledConstraints(spec, history)
-    return memo.fetch(
-        history,
-        ("kernel", spec.cache_key),
-        lambda: CompiledConstraints(spec, history),
-    )
+    return CompiledConstraints(spec, history)

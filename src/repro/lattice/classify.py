@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.checking.models import check
 from repro.core.history import SystemHistory
-from repro.orders.memo import relation_memo
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine uses lattice)
     from repro.engine.pool import CheckEngine
@@ -187,8 +186,8 @@ def classify_histories(
 
     With an ``engine``, the verdicts come from
     :meth:`repro.engine.CheckEngine.map_classify` instead of direct
-    :func:`check` calls — relation-cached, and parallel when the engine has
-    ``jobs > 1``.  The results are identical either way.
+    :func:`check` calls, parallel when the engine has ``jobs > 1``.  The
+    results are identical either way.
     """
     hs = list(histories)
     result = ClassificationResult(tuple(models), hs)
@@ -199,17 +198,14 @@ def classify_histories(
                 i for i, row in enumerate(rows) if row[name]
             }
         return result
-    # Serial path: history-major under a relation memo, so the order
-    # relations and compiled constraint kernels are derived once per
-    # history and shared by every model (the engine path gets the same
-    # sharing from its per-worker relation cache).
+    # Serial path: history-major, so every model of one history hits the
+    # kernel's plane cache for the substrate the first one compiled.
     for name in models:
         result.allowed[name] = set()
-    with relation_memo():
-        for i, h in enumerate(hs):
-            for name in models:
-                if check(h, name).allowed:
-                    result.allowed[name].add(i)
+    for i, h in enumerate(hs):
+        for name in models:
+            if check(h, name).allowed:
+                result.allowed[name].add(i)
     return result
 
 

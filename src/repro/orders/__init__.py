@@ -5,12 +5,6 @@ These implement the "Ordering" parameter of the paper's framework
 """
 
 from repro.orders.causal import causal_base_pairs, causal_relation
-from repro.orders.memo import (
-    RelationMemo,
-    active_memo,
-    memoized_relation,
-    relation_memo,
-)
 from repro.orders.coherence import (
     CoherenceOrder,
     coherence_position,
@@ -36,12 +30,8 @@ from repro.orders.writes_before import (
 )
 
 __all__ = [
-    "active_memo",
     "causal_base_pairs",
     "causal_relation",
-    "memoized_relation",
-    "relation_memo",
-    "RelationMemo",
     "CoherenceOrder",
     "coherence_position",
     "enumerate_coherence_orders",

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from repro.core.history import SystemHistory
 from repro.core.operation import Operation
-from repro.orders.memo import memoized_relation
 from repro.orders.relation import Relation
 from repro.orders.program_order import po_relation
 from repro.orders.writes_before import ReadsFrom, wb_relation
@@ -24,7 +23,6 @@ from repro.orders.writes_before import ReadsFrom, wb_relation
 __all__ = ["causal_relation", "causal_base_pairs"]
 
 
-@memoized_relation
 def causal_base_pairs(
     history: SystemHistory, reads_from: ReadsFrom | None = None
 ) -> Relation[Operation]:
@@ -32,7 +30,6 @@ def causal_base_pairs(
     return po_relation(history).union(wb_relation(history, reads_from))
 
 
-@memoized_relation
 def causal_relation(
     history: SystemHistory, reads_from: ReadsFrom | None = None
 ) -> Relation[Operation]:

@@ -22,7 +22,6 @@ from typing import Any
 
 from repro.core.history import SystemHistory
 from repro.core.operation import Operation
-from repro.orders.memo import memoized_relation
 from repro.orders.relation import Relation
 
 __all__ = [
@@ -49,7 +48,6 @@ def in_program_order(o1: Operation, o2: Operation) -> bool:
     return o1.proc == o2.proc and o1.index < o2.index
 
 
-@memoized_relation
 def po_relation(history: SystemHistory) -> Relation[Operation]:
     """The full (transitive) program-order relation as pairs.
 
@@ -81,7 +79,6 @@ def _ppo_base_condition(o1: Operation, o2: Operation) -> bool:
     return False
 
 
-@memoized_relation
 def ppo_base_pairs(history: SystemHistory) -> Relation[Operation]:
     """Direct (pre-closure) ``->ppo`` pairs of a history."""
     rel: Relation[Operation] = Relation(history.operations)
@@ -94,7 +91,6 @@ def ppo_base_pairs(history: SystemHistory) -> Relation[Operation]:
     return rel
 
 
-@memoized_relation
 def ppo_relation(history: SystemHistory) -> Relation[Operation]:
     """The partial program order ``->ppo`` (transitively closed).
 

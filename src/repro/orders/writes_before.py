@@ -21,7 +21,6 @@ from typing import Iterator, Mapping
 from repro.core.errors import AmbiguousValueError
 from repro.core.history import SystemHistory
 from repro.core.operation import INITIAL_VALUE, Operation
-from repro.orders.memo import memoized_relation
 from repro.orders.relation import Relation
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
 ReadsFrom = Mapping[Operation, Operation | None]
 
 
-@memoized_relation
 def reads_from_candidates(
     history: SystemHistory,
 ) -> dict[Operation, tuple[Operation | None, ...]]:
@@ -69,7 +67,6 @@ def reads_from_candidates(
     return out
 
 
-@memoized_relation
 def unique_reads_from(history: SystemHistory) -> dict[Operation, Operation | None]:
     """The reads-from function, when it is unambiguous.
 
@@ -93,7 +90,6 @@ def unique_reads_from(history: SystemHistory) -> dict[Operation, Operation | Non
     return out
 
 
-@memoized_relation
 def unambiguous_reads_from(
     history: SystemHistory,
 ) -> dict[Operation, Operation | None] | None:
@@ -129,7 +125,6 @@ def reads_from_choices(history: SystemHistory) -> Iterator[dict[Operation, Opera
         yield dict(zip(reads, combo))
 
 
-@memoized_relation
 def wb_relation(
     history: SystemHistory, reads_from: ReadsFrom | None = None
 ) -> Relation[Operation]:

@@ -250,8 +250,8 @@ class CheckService:
             max_workers=max(1, self.config.workers),
             thread_name_prefix="repro-serve",
         )
-        # Completed checks' hit bodies, oldest first, bounded by
-        # ``result_cache``; and the futures of checks still running, by
+        # Completed checks' hit bodies, least recently used first, bounded
+        # by ``result_cache``; and the futures of checks still running, by
         # key.  One lock guards both, so a key moves from the second to
         # the first without a moment in neither.
         self._results: OrderedDict[str, bytes] = OrderedDict()
@@ -374,11 +374,21 @@ class CheckService:
         response dict; an unknown key as ``None``.
         """
         with self._results_lock:
-            body = self._results.get(key)
+            body = self._hit(key)
         if body is not None:
             self._note_cache_hit()
             return body
         return self._stored_response(key)
+
+    def _hit(self, key: str) -> bytes | None:
+        """The cached body of ``key``, marked most recently used.
+
+        Callers hold ``_results_lock``.
+        """
+        body = self._results.get(key)
+        if body is not None:
+            self._results.move_to_end(key)
+        return body
 
     def _note_cache_hit(self) -> None:
         with self._stats_lock:
@@ -424,7 +434,7 @@ class CheckService:
         models = resolve_models(models_input)
         key = job_key(history, models)
         with self._results_lock:
-            body = self._results.get(key)
+            body = self._hit(key)
             pending = self._inflight.get(key)
         if body is not None:
             self._note_cache_hit()

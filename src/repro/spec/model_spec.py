@@ -106,27 +106,6 @@ class MemoryModelSpec:
         """True when the model distinguishes labeled from ordinary operations."""
         return self.labeled_discipline is not None
 
-    @property
-    def cache_key(self) -> tuple:
-        """Identity of the spec's *parameters* (not its name).
-
-        Two specs with equal parameters compile to the same constraint
-        kernel, so the kernel's compiled-constraint memo keys on this
-        rather than on the display name.  The key is the parameter values
-        themselves — the ordering enters as the rule object, so two rules
-        that share a name but not a relation never alias — which makes
-        equal keys and equal parameters the same thing.
-        """
-        return (
-            self.operation_set,
-            self.mutual_consistency,
-            self.ordering,
-            self.labeled_discipline,
-            self.bracketing,
-            self.ordering_own_view_only,
-            self.partition_blocks,
-        )
-
     def __str__(self) -> str:
         parts = [
             f"δ_p={self.operation_set.value}",

@@ -24,9 +24,8 @@ search, and the differential fuzzer's ``prepass_deny`` soundness oracle.
 
 A :class:`HistoryPrepass` is compiled once per
 :class:`~repro.spec.model_spec.MemoryModelSpec` and then applied to many
-histories; relation construction goes through the memoized builders of
-:mod:`repro.orders.memo`, so under the engine's relation cache the graphs
-are shared across the specs a sweep checks each history against.
+histories; it builds its relations with the :mod:`repro.orders`
+builders.
 
 Soundness contract
 ------------------
@@ -241,9 +240,8 @@ class HistoryPrepass:
         """
         if self.spec.ordering.needs_coherence:
             return ppo_relation(history)
-        # Passing reads_from=None lets the memoized builders infer the
-        # unique attribution (established by the caller) and share the
-        # relation across specs under an active relation memo.
+        # Passing reads_from=None lets the builders infer the unique
+        # attribution (established by the caller).
         return self.spec.ordering.build(history, cast(ReadsFrom, None), None)
 
     def _forced_write_order(

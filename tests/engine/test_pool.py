@@ -95,7 +95,9 @@ class TestRun:
 
     def test_render_smoke(self):
         report = CheckEngine().run(SMALL)
-        assert "cache hit rate" in report.render()
+        text = report.render()
+        assert f"histories: {len(CATALOG)} checked" in text
+        assert "cache hit rate" not in text
 
     def test_store_gets_header_results_summary(self, tmp_path):
         path = tmp_path / "out.jsonl"

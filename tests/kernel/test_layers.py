@@ -4,17 +4,14 @@ compiled planes, and the history-plane sharing the driver relies on."""
 import pytest
 
 from repro.core.errors import CheckerError
-from repro.engine.cache import RelationCache
 from repro.kernel.constraints import (
     CompiledConstraints,
-    compile_constraints,
     history_plane,
 )
 from repro.kernel.rf import impossible_read, iter_attributions
 from repro.kernel.search import check_with_spec
 from repro.kernel.serializations import forced_write_order, iter_mutual_candidates
 from repro.litmus import parse_history
-from repro.orders.memo import relation_memo
 from repro.spec import ALL_SPECS
 from repro.spec.registry import SC_SPEC, TSO_SPEC
 from repro.spec.parameters import MutualConsistency, OperationSet
@@ -153,38 +150,3 @@ class TestHistoryPlane:
         with pytest.raises(KernelError, match="semi-causality"):
             check_with_spec(spec, parse_history("p: w(x)1 | q: r(x)1"))
 
-
-class TestCacheTwinRegression:
-    """A compiled plane must serve value-equal history twins.
-
-    The engine's relation cache keys by canonical history key, so two
-    parses of the same litmus text share one table; a plane compiled for
-    the first parse is handed the second parse's operation objects.
-    """
-
-    TEXTS = (
-        "p: w(x)1 r(y)0 | q: w(y)1 r(x)0",
-        "p: w(x)1 w(x)2 | q: r(x)2 r(x)1",
-        "p: w(x)1 | q: w(x)2 | r: r(x)1 r(x)2 | s: r(x)2 r(x)1",
-    )
-
-    @pytest.mark.parametrize("text", TEXTS)
-    def test_twins_share_compiled_constraints(self, text):
-        h1, h2 = parse_history(text), parse_history(text)
-        with relation_memo(RelationCache()):
-            cc1 = compile_constraints(SC_SPEC, h1)
-            cc2 = compile_constraints(SC_SPEC, h2)
-            assert cc1 is cc2
-
-    @pytest.mark.parametrize("text", TEXTS)
-    def test_twin_verdicts_identical_under_shared_cache(self, text):
-        h1, h2 = parse_history(text), parse_history(text)
-        with relation_memo(RelationCache()):
-            for spec in ALL_SPECS:
-                a = check_with_spec(spec, h1)
-                b = check_with_spec(spec, h2)
-                assert (a.allowed, a.explored, a.reason) == (
-                    b.allowed,
-                    b.explored,
-                    b.reason,
-                ), spec.name

@@ -162,6 +162,23 @@ class TestServiceCaching:
         finally:
             service.drain()
 
+    def test_result_cache_keeps_a_key_hit_between_completions(self):
+        """Eviction is least-recently-used: a hit renews its key."""
+        service = CheckService(ServeConfig(workers=1, result_cache=2))
+        try:
+            key, outcome = service.submit_check("fig1-sb", "SC")
+            outcome.result(timeout=60)
+            for name in ("mp", "iriw", "wrc"):
+                assert isinstance(service.submit_check("fig1-sb", "SC")[1], bytes)
+                _, outcome = service.submit_check(name, "SC")
+                outcome.result(timeout=60)
+                assert isinstance(service.cached_response(key), bytes), name
+            _, evicted = service.submit_check("iriw", "SC")
+            assert isinstance(evicted, Future)  # the LRU key went instead
+            evicted.result(timeout=60)
+        finally:
+            service.drain()
+
 
 def _block_pool(service: CheckService) -> threading.Event:
     """Occupy a one-worker pool until the returned event is set."""

@@ -133,21 +133,24 @@ class TestModelZoo:
             assert spec.partition_blocks == blocks
             assert spec.ordering.name == f"po-block({blocks})"
 
-    def test_cache_keys_pairwise_distinct(self):
-        # Every parameter axis must be embedded in the cache key: two
-        # registered specs sharing a key would silently alias each
-        # other's cached verdicts.
-        keys = {}
+    def test_parameters_pairwise_distinct(self):
+        # No two registered specs share every parameter: such a pair would
+        # be one model under two names.  The tuple includes the partition
+        # arity, so partition-2 and partition-3 are compared on it too.
+        seen = {}
         for spec in ALL_SPECS:
-            key = spec.cache_key
-            assert key not in keys, f"{spec.name} aliases {keys[key]}"
-            keys[key] = spec.name
-
-    def test_cache_key_embeds_partition_arity(self):
-        # partition-2 and partition-3 differ only on the blocks axis.
-        assert get_spec("partition-2").cache_key != get_spec(
-            "partition-3"
-        ).cache_key
+            params = (
+                spec.operation_set,
+                spec.mutual_consistency,
+                spec.ordering,
+                spec.labeled_discipline,
+                spec.bracketing,
+                spec.ordering_own_view_only,
+                spec.partition_blocks,
+            )
+            assert params not in seen, f"{spec.name} duplicates {seen[params]}"
+            seen[params] = spec.name
+        assert {"partition-2", "partition-3"} <= set(seen.values())
 
     def test_spec_names_ordering_is_stable(self):
         # spec_names() is the registry's presentation order (the order

@@ -165,7 +165,7 @@ class TestSweep:
         assert rc == 0
         out = capsys.readouterr().out
         assert "histories: 17 checked" in out
-        assert "cache hit rate" in out
+        assert "cache hit rate" not in out
         assert "allowed counts" in out
 
     def test_sweep_writes_store(self, capsys, tmp_path):
