@@ -15,6 +15,18 @@ from repro.spec import (
     spec_names,
 )
 
+def _parameters(spec):
+    """Every parameter axis of ``spec``, partition arity last."""
+    return (
+        spec.operation_set,
+        spec.mutual_consistency,
+        spec.ordering,
+        spec.labeled_discipline,
+        spec.bracketing,
+        spec.ordering_own_view_only,
+        spec.partition_blocks,
+    )
+
 
 class TestRegistry:
     def test_all_paper_models_present(self):
@@ -133,24 +145,22 @@ class TestModelZoo:
             assert spec.partition_blocks == blocks
             assert spec.ordering.name == f"po-block({blocks})"
 
-    def test_parameters_pairwise_distinct(self):
+    def test_cache_keys_pairwise_distinct(self):
         # No two registered specs share every parameter: such a pair would
-        # be one model under two names.  The tuple includes the partition
-        # arity, so partition-2 and partition-3 are compared on it too.
+        # be one model under two names.
         seen = {}
         for spec in ALL_SPECS:
-            params = (
-                spec.operation_set,
-                spec.mutual_consistency,
-                spec.ordering,
-                spec.labeled_discipline,
-                spec.bracketing,
-                spec.ordering_own_view_only,
-                spec.partition_blocks,
-            )
+            params = _parameters(spec)
             assert params not in seen, f"{spec.name} duplicates {seen[params]}"
             seen[params] = spec.name
-        assert {"partition-2", "partition-3"} <= set(seen.values())
+
+    def test_cache_key_embeds_partition_arity(self):
+        # The parameter tuple carries the partition arity, so partition-2
+        # and partition-3 are told apart on it.
+        two, three = get_spec("partition-2"), get_spec("partition-3")
+        assert _parameters(two)[-1] == 2
+        assert _parameters(three)[-1] == 3
+        assert _parameters(two) != _parameters(three)
 
     def test_spec_names_ordering_is_stable(self):
         # spec_names() is the registry's presentation order (the order
