@@ -29,6 +29,10 @@ for ``fig1-sb``) also resolves.
 Exit status: 0 on success; for ``check``, 0 when the history is allowed
 and 1 when it is rejected (so the command composes in shell scripts);
 2 on usage or parse errors.
+
+Each command imports what it runs inside its ``_cmd_*`` function, so a
+process loads only one command's stack: ``check`` loads neither numpy
+nor networkx.
 """
 
 from __future__ import annotations
@@ -47,30 +51,28 @@ from repro.checking import (
     resolve_models,
 )
 from repro.core.errors import ReproError
-from repro.lattice import (
-    FIGURE5_EDGES,
-    HistorySpace,
-    canonical_histories,
-    classify_histories,
-    containment_violations,
-    empirical_hasse,
-)
 from repro.litmus import CATALOG, parse_history
-from repro.machines import PRAMMachine, RCMachine, SCMachine, TSOMachine
-from repro.programs import DelayDeliveriesScheduler, RandomScheduler, run
-from repro.programs.mutex import bakery_program
 from repro.spec import MemoryModelSpec
-from repro.viz import lattice_to_dot, render_history, render_lattice, render_views
+from repro.viz.ascii import render_history, render_views
 
 __all__ = ["main", "build_parser"]
 
-_BAKERY_MACHINES = {
-    "sc": lambda: SCMachine(("p0", "p1")),
-    "tso": lambda: TSOMachine(("p0", "p1")),
-    "pram": lambda: PRAMMachine(("p0", "p1")),
-    "rc_sc": lambda: RCMachine(("p0", "p1"), labeled_mode="sc"),
-    "rc_pc": lambda: RCMachine(("p0", "p1"), labeled_mode="pc"),
-}
+#: The machines ``bakery --machine`` accepts (see :func:`_bakery_machine`).
+_BAKERY_MACHINES = ("sc", "tso", "pram", "rc_sc", "rc_pc")
+
+
+def _bakery_machine(name: str):
+    """A fresh two-processor machine for the Bakery experiment."""
+    from repro.machines import PRAMMachine, RCMachine, SCMachine, TSOMachine
+
+    procs = ("p0", "p1")
+    if name == "sc":
+        return SCMachine(procs)
+    if name == "tso":
+        return TSOMachine(procs)
+    if name == "pram":
+        return PRAMMachine(procs)
+    return RCMachine(procs, labeled_mode=name[len("rc_") :])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -482,7 +484,6 @@ def _cmd_check_stream(args: argparse.Namespace) -> int:
     the *final* prefix (0 all-admit, 1 any-deny, 2 on a bad line).
     """
     from repro.engine.session import EngineSession
-    from repro.obs import SessionStatsSink, tracing
 
     models = tuple(m for m in args.model.split(",") if m)
     seed = label = None
@@ -495,40 +496,38 @@ def _cmd_check_stream(args: argparse.Namespace) -> int:
             for m, r in results.items()
         )
 
-    sink = SessionStatsSink()
-    with tracing(sink):
+    try:
+        session = EngineSession(models, history=seed)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    denied = set(session.denying())
+    if seed is not None:
+        print(
+            f"seed {label or 'history'}: "
+            f"{len(session.history.operations)} op(s)  "
+            f"{row(session.last_results)}",
+            flush=True,
+        )
+    count = 0
+    for line in sys.stdin:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
         try:
-            session = EngineSession(models, history=seed)
+            appended = session.append_line(line)
         except ReproError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        denied = set(session.denying())
-        if seed is not None:
-            print(
-                f"seed {label or 'history'}: "
-                f"{len(session.history.operations)} op(s)  "
-                f"{row(session.last_results)}",
-                flush=True,
-            )
-        count = 0
-        for line in sys.stdin:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                appended = session.append_line(line)
-            except ReproError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            for op, results in appended:
-                count += 1
-                print(f"[{count}] {op}  {row(results)}", flush=True)
-                for m, r in results.items():
-                    if not r.allowed and m not in denied and r.reason:
-                        print(f"    {m}: {r.reason}", flush=True)
-                        denied.add(m)
+        for op, results in appended:
+            count += 1
+            print(f"[{count}] {op}  {row(results)}", flush=True)
+            for m, r in results.items():
+                if not r.allowed and m not in denied and r.reason:
+                    print(f"    {m}: {r.reason}", flush=True)
+                    denied.add(m)
     print(f"-- {count} op(s) appended; final: {row(session.last_results)}")
-    c = sink.session_counters()
+    c = session.counters()
     print(
         f"-- reuse: {c['planes_grown']}/{c['appends']} append checks grew "
         f"the plane in place; {c['reuse_hits']} prefix-memory hit(s), "
@@ -598,14 +597,24 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
 
 
 def _cmd_lattice(args: argparse.Namespace) -> int:
+    from repro.engine import CheckEngine
+    from repro.lattice import (
+        FIGURE5_EDGES,
+        HistorySpace,
+        canonical_histories,
+        classify_histories,
+        containment_violations,
+        empirical_hasse,
+        extended_edges,
+    )
+    from repro.viz import lattice_to_dot, render_lattice
+
     space = HistorySpace(procs=args.procs, ops_per_proc=args.ops)
     histories = list(canonical_histories(space))
     # The panel defaults to every registered model and the edge set to
     # the registry-derived lattice, so newly registered models are
     # containment-checked without any CLI plumbing; --paper restricts
     # both to the verdict-locked Figure 5 sub-lattice.
-    from repro.lattice import extended_edges
-
     selector = "paper" if args.paper else args.models
     if selector == "paper":
         models: tuple[str, ...] = PAPER_MODELS
@@ -613,8 +622,6 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
     else:
         models = resolve_models(selector)
         edges = extended_edges(models)
-    from repro.engine import CheckEngine
-
     result = classify_histories(histories, models, engine=CheckEngine(jobs=args.jobs))
     print(f"{len(histories)} canonical histories; counts: {result.counts()}")
     violations = containment_violations(result, edges)
@@ -685,17 +692,29 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _cmd_bakery(args: argparse.Namespace) -> int:
-    factory = _BAKERY_MACHINES[args.machine]
+    from repro.programs import DelayDeliveriesScheduler, RandomScheduler, run
+    from repro.programs.mutex import bakery_program
+
     labeled = args.machine.startswith("rc_")
     program = bakery_program(2, labeled=labeled)
     if args.adversarial:
-        result = run(factory(), program, DelayDeliveriesScheduler(), max_steps=5000)
+        result = run(
+            _bakery_machine(args.machine),
+            program,
+            DelayDeliveriesScheduler(),
+            max_steps=5000,
+        )
         status = "VIOLATED" if result.mutex_violation else "held"
         print(f"{args.machine} adversarial: mutual exclusion {status}")
         return 0
     violations = 0
     for seed in range(args.runs):
-        result = run(factory(), program, RandomScheduler(seed), max_steps=5000)
+        result = run(
+            _bakery_machine(args.machine),
+            program,
+            RandomScheduler(seed),
+            max_steps=5000,
+        )
         if result.mutex_violation:
             violations += 1
     print(

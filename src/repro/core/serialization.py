@@ -24,6 +24,7 @@ __all__ = [
     "history_from_dict",
     "history_to_json",
     "history_from_json",
+    "canonical_history_json",
     "view_to_dict",
     "view_from_dict",
     "check_result_to_dict",
@@ -95,6 +96,17 @@ def history_from_dict(d: dict[str, Any]) -> SystemHistory:
 def history_to_json(history: SystemHistory, *, indent: int | None = None) -> str:
     """Encode a system history as a JSON string."""
     return json.dumps(history_to_dict(history), indent=indent, sort_keys=True)
+
+
+def canonical_history_json(history: SystemHistory) -> str:
+    """The canonical JSON of :func:`history_to_dict`: sorted keys, no spaces.
+
+    Equal histories encode to equal strings, which is what content keys
+    (the service's job keys) hash.
+    """
+    return json.dumps(
+        history_to_dict(history), sort_keys=True, separators=(",", ":")
+    )
 
 
 def history_from_json(text: str) -> SystemHistory:

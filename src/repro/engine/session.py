@@ -36,7 +36,17 @@ from repro.kernel.results import CheckResult
 from repro.kernel.search import SearchBudget
 from repro.litmus.dsl import parse_operations
 
-__all__ = ["EngineSession", "parse_op_line"]
+__all__ = ["EngineSession", "SESSION_COUNTERS", "parse_op_line"]
+
+#: The counters every :class:`~repro.kernel.incremental.IncrementalCheck`
+#: keeps and :meth:`EngineSession.counters` sums across models.
+SESSION_COUNTERS = (
+    "appends",
+    "planes_grown",
+    "reuse_hits",
+    "reuse_misses",
+    "fallbacks",
+)
 
 _LINE_RE = re.compile(r"^\s*(?P<proc>[A-Za-z_][A-Za-z0-9_]*)\s*:\s*(?P<body>.+)$")
 
@@ -155,6 +165,21 @@ class EngineSession:
     def history(self) -> SystemHistory:
         """The session's current history (seed plus every append)."""
         return self.stream.history
+
+    def counters(self) -> dict[str, int]:
+        """Every model's session counters, summed.
+
+        ``appends`` and ``planes_grown`` count one per model per appended
+        operation; ``reuse_hits``/``reuse_misses`` count candidate
+        serializations answered from / searched past the prefix failure
+        memory; ``fallbacks`` counts checks that ran a full search.  The
+        totals equal a :class:`~repro.obs.sink.SessionStatsSink`'s over
+        the session's life, without installing one.
+        """
+        return {
+            name: sum(getattr(check, name) for check in self.checks.values())
+            for name in SESSION_COUNTERS
+        }
 
     def verdicts(self) -> dict[str, bool]:
         """The latest admit/deny verdict per model."""

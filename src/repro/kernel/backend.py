@@ -4,7 +4,8 @@ The kernel's data plane is a set of *predecessor masks*: ``masks[j]`` bit
 ``i`` set means operation ``i`` must precede operation ``j`` (see
 :mod:`repro.kernel.constraints`).  Every row of an ``n``-operation plane
 is an ``n``-bit integer.  Three operations act on a plane: transitive
-closure (:func:`close_masks`), acyclicity (:func:`masks_acyclic`, a Kahn
+closure (:func:`close_masks`, from :mod:`repro.core.masks`, which the
+relation algebra shares), acyclicity (:func:`masks_acyclic`, a Kahn
 peeling test, or :func:`masks_acyclic_within` on a subset of the rows)
 and the *gate* (:func:`gate_masks`), which rejects a cyclic candidate
 plane and closes a surviving one in the same Kahn pass: each row is
@@ -27,6 +28,8 @@ from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from typing import Iterator, Sequence
 
+from repro.core.masks import close_masks
+
 __all__ = [
     "MaskBackend",
     "PythonBackend",
@@ -37,24 +40,6 @@ __all__ = [
     "masks_acyclic_within",
     "use_backend",
 ]
-
-
-def close_masks(masks: Sequence[int]) -> list[int]:
-    """Transitive closure of predecessor masks (bitset Floyd–Warshall).
-
-    Unlike :func:`gate_masks` it also closes a cyclic plane.
-    """
-    out = list(masks)
-    n = len(out)
-    for k in range(n):
-        pk = out[k]
-        if not pk:
-            continue
-        bit = 1 << k
-        for i in range(n):
-            if out[i] & bit:
-                out[i] |= pk
-    return out
 
 
 def masks_acyclic(masks: Sequence[int], n: int) -> bool:

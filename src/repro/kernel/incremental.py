@@ -309,6 +309,18 @@ class IncrementalCheck:
         self.budget = budget
         #: Verdicts per prefix, in append order.
         self.results: list[CheckResult] = []
+        # Session counters, bumped where the SessionAppend and PrefixReuse
+        # trace events are emitted, so their totals need no sink.
+        #: Operations appended.
+        self.appends = 0
+        #: Appended operations whose plane grew in place.
+        self.planes_grown = 0
+        #: Candidate serializations replayed from prefix failure memory.
+        self.reuse_hits = 0
+        #: Candidate serializations searched fresh under an active memory.
+        self.reuse_misses = 0
+        #: Checks that ran as full one-shot searches (no memory).
+        self.fallbacks = 0
         # Failure memory is sound only when the labeled-extras loop is the
         # trivial single ``None`` — i.e. no labeled discipline.  RC models
         # still get the extendable plane; their searches just run fresh.
@@ -345,6 +357,9 @@ class IncrementalCheck:
                 # candidate keys no longer mean what they meant.
                 memory.reset()
         result = self._check()
+        self.appends += len(ops)
+        if reused:
+            self.planes_grown += len(ops)
         sink = _sink_state._ACTIVE
         if sink is not None:
             for op in ops:
@@ -387,10 +402,10 @@ class IncrementalCheck:
                 memory.reset()
             raise
         if memory is not None and memory.started:
-            self._emit_reuse(memory.hits, memory.misses, fallback=False)
+            self._note_reuse(memory.hits, memory.misses, fallback=False)
             memory.commit()
         else:
-            self._emit_reuse(0, 0, fallback=True)
+            self._note_reuse(0, 0, fallback=True)
         self.results.append(result)
         return result
 
@@ -408,7 +423,7 @@ class IncrementalCheck:
             reason = (
                 f"{bad} observes a value never written to {bad.location!r}"
             )
-            self._emit_reuse(0, 0, fallback=False)
+            self._note_reuse(0, 0, fallback=False)
             return CheckResult(
                 self.spec.name,
                 False,
@@ -449,11 +464,16 @@ class IncrementalCheck:
         explored = 1 if mode == "stuck" else 0
         memory.fresh = {(): mode}
         memory.hits, memory.misses = 1, 0
-        self._emit_reuse(1, 0, fallback=False)
+        self._note_reuse(1, 0, fallback=False)
         memory.commit()
         return previous.extend(explored=explored)
 
-    def _emit_reuse(self, hits: int, misses: int, *, fallback: bool) -> None:
+    def _note_reuse(self, hits: int, misses: int, *, fallback: bool) -> None:
+        if fallback:
+            self.fallbacks += 1
+        else:
+            self.reuse_hits += hits
+            self.reuse_misses += misses
         sink = _sink_state._ACTIVE
         if sink is not None:
             sink.emit(

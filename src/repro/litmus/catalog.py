@@ -13,6 +13,7 @@ from functools import cached_property
 from typing import Mapping
 
 from repro.core.history import SystemHistory
+from repro.core.serialization import canonical_history_json
 from repro.litmus.dsl import parse_history
 
 __all__ = ["LitmusTest", "CATALOG", "get_test", "paper_figures", "catalog_names"]
@@ -35,6 +36,12 @@ class LitmusTest:
         the same instance.
         """
         return parse_history(self.text)
+
+    @cached_property
+    def canonical_json(self) -> str:
+        """:func:`~repro.core.serialization.canonical_history_json` of
+        :attr:`history`, encoded on first access and then shared."""
+        return canonical_history_json(self.history)
 
 
 def _t(name: str, text: str, expected: dict[str, bool], source: str = "") -> LitmusTest:

@@ -113,9 +113,11 @@ class SessionStatsSink(CountingSink):
     :class:`~repro.obs.events.SessionAppend` and
     :class:`~repro.obs.events.PrefixReuse` events carry per-append
     figures (did the plane grow in place, how many prefix failures the
-    resumed search replayed); this sink sums them, so a service's
-    ``GET /stats`` — or a benchmark's reuse-rate report — reads totals
-    instead of replaying an event stream.
+    resumed search replayed); this sink sums them, so a traced run —
+    a benchmark's reuse-rate report, say — reads totals
+    instead of replaying an event stream.  Sessions also count
+    themselves (:meth:`repro.engine.session.EngineSession.counters`), so
+    a total that needs no sink should read those.
     """
 
     def __init__(self) -> None:
@@ -151,35 +153,14 @@ class SessionStatsSink(CountingSink):
                 self.prepass_outcomes.get(event.outcome, 0) + 1
             )
 
-    @property
-    def reuse_rate(self) -> float:
-        """Fraction of candidate serializations served from prefix memory."""
-        total = self.reuse_hits + self.reuse_misses
-        return self.reuse_hits / total if total else 0.0
-
     def session_counters(self) -> dict[str, int]:
-        """The session totals as a plain dictionary (for ``/stats``)."""
+        """The session totals as a plain dictionary."""
         return {
             "appends": self.appends,
             "planes_grown": self.planes_grown,
             "reuse_hits": self.reuse_hits,
             "reuse_misses": self.reuse_misses,
             "fallbacks": self.fallbacks,
-        }
-
-    def prepass_counters(self) -> dict[str, int]:
-        """Pre-pass rule outcomes as a plain dictionary (for ``/stats``).
-
-        ``denied`` counts checks the static battery decided outright;
-        ``passed``/``abstained`` count rule runs that decided nothing.
-        No rule admits any more: ``admitted`` stays because
-        ``bench/workloads.py`` reads it, until the next benchmark change.
-        """
-        return {
-            "denied": self.prepass_outcomes.get("deny", 0),
-            "admitted": self.prepass_outcomes.get("admit", 0),
-            "passed": self.prepass_outcomes.get("pass", 0),
-            "abstained": self.prepass_outcomes.get("abstain", 0),
         }
 
 

@@ -7,28 +7,20 @@ relation over the operations of a history.  This module provides the one
 need: union, composition, transitive closure, restriction, acyclicity and
 (all) topological extensions.
 
-Performance
------------
-Transitive closure is the hot operation during lattice enumeration.  For
-relations over more than a handful of elements we compute it by boolean
-matrix squaring with NumPy (``log n`` squarings of an ``n × n`` adjacency
-matrix); tiny relations use a direct worklist which has lower constant cost.
-This follows the repository's profiling-first rule: the closure dominated
-the enumeration profile before vectorization.
+Transitive closure runs on integer bitmasks, one successor row per item,
+with the Warshall loop the kernel closes its constraint planes with
+(:func:`repro.core.masks.close_masks`).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Generic, Hashable, Iterable, Iterator, TypeVar
 
-import numpy as np
+from repro.core.masks import close_masks
 
 __all__ = ["Relation"]
 
 T = TypeVar("T", bound=Hashable)
-
-#: Below this element count the pure-Python closure is faster than NumPy.
-_NUMPY_CLOSURE_THRESHOLD = 8
 
 
 class Relation(Generic[T]):
@@ -151,10 +143,19 @@ class Relation(Generic[T]):
 
     # -- combinators ---------------------------------------------------------------
 
-    def _copy(self) -> "Relation[T]":
-        out: Relation[T] = Relation(self._items)
-        out._succ = [set(s) for s in self._succ]
+    def _derived(self, succ: list[set[int]]) -> "Relation[T]":
+        """A relation over this universe with successor sets ``succ``.
+
+        The universe and its index are immutable, so the two share them.
+        """
+        out: Relation[T] = Relation.__new__(Relation)
+        out._items = self._items
+        out._index = self._index
+        out._succ = succ
         return out
+
+    def _copy(self) -> "Relation[T]":
+        return self._derived([set(s) for s in self._succ])
 
     def union(self, *others: "Relation[T]") -> "Relation[T]":
         """Union with relations over the same (or a sub-) universe."""
@@ -179,48 +180,17 @@ class Relation(Generic[T]):
         return out
 
     def transitive_closure(self) -> "Relation[T]":
-        """The transitive closure ``R+`` of this relation."""
-        n = len(self._items)
-        if n == 0:
-            return self._copy()
-        if n < _NUMPY_CLOSURE_THRESHOLD:
-            return self._closure_worklist()
-        return self._closure_numpy()
+        """The transitive closure ``R+`` of this relation.
 
-    def _closure_worklist(self) -> "Relation[T]":
-        out = self._copy()
-        succ = out._succ
-        # Repeated relaxation; fine for tiny relations.
-        changed = True
-        while changed:
-            changed = False
-            for s in succ:
-                added: set[int] = set()
-                for ib in s:
-                    added |= succ[ib] - s
-                if added:
-                    s |= added
-                    changed = True
-        return out
-
-    def _closure_numpy(self) -> "Relation[T]":
-        n = len(self._items)
-        m = np.zeros((n, n), dtype=bool)
-        for ia, succs in enumerate(self._succ):
+        An item on a cycle relates to itself.
+        """
+        rows: list[int] = []
+        for succs in self._succ:
+            row = 0
             for ib in succs:
-                m[ia, ib] = True
-        reach = m.copy()
-        # Boolean matrix squaring: after k squarings, paths of length <= 2^k.
-        for _ in range(max(1, int(np.ceil(np.log2(n))))):
-            new = reach | (reach @ reach)
-            if np.array_equal(new, reach):
-                break
-            reach = new
-        out: Relation[T] = Relation(self._items)
-        rows, cols = np.nonzero(reach)
-        for ia, ib in zip(rows.tolist(), cols.tolist()):
-            out._succ[ia].add(ib)
-        return out
+                row |= 1 << ib
+            rows.append(row)
+        return self._derived([_bit_indices(row) for row in close_masks(rows)])
 
     def compose(self, other: "Relation[T]") -> "Relation[T]":
         """Relational composition ``self ; other`` over the same universe."""
@@ -333,3 +303,13 @@ class Relation(Generic[T]):
     def __repr__(self) -> str:
         body = ", ".join(f"{a}<{b}" for a, b in self.pairs())
         return f"Relation({len(self._items)} items: {body})"
+
+
+def _bit_indices(mask: int) -> set[int]:
+    """The positions of the set bits of ``mask``."""
+    out: set[int] = set()
+    while mask:
+        low = mask & -mask
+        out.add(low.bit_length() - 1)
+        mask ^= low
+    return out

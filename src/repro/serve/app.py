@@ -166,12 +166,11 @@ class ServeApp:
         response = self.service.cached_response(key)
         if response is None:
             return 404, {"error": f"no completed result for key {key!r}"}
-        if isinstance(response, bytes):
-            response = json.loads(response)
+        hit = json.loads(response)
         return 200, {
             "key": key,
-            "models": response.get("models", {}),
-            "views": response.get("views", {}),
+            "models": hit.get("models", {}),
+            "views": hit.get("views", {}),
         }
 
 

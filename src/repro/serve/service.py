@@ -8,8 +8,9 @@ backend of :func:`repro.engine.sqlstore.open_store`), and answers repeat
 submissions from the store or the in-memory result cache instead of
 re-searching.  The cache holds each completed check's response as its
 encoded JSON body, encoded once in the worker thread that ran the
-check, so a repeat costs the event loop a key lookup and a socket
-write.  Concurrent submissions of one key share one future: the check
+check (or, for a key only the store knows, on its first store hit), so
+a repeat costs the event loop a key lookup and a socket write.
+Concurrent submissions of one key share one future: the check
 runs once.
 
 Sweeps are *async jobs*: submission returns a job id immediately (itself
@@ -25,9 +26,9 @@ operations in one at a time and returns per-op admit/deny rows, and
 ``GET /session/<id>`` snapshots the current prefix — witness views for
 admitting models, denial reasons for denying ones.  The table is an LRU
 bounded by :attr:`ServeConfig.max_sessions`; the per-session counters in
-``GET /stats`` are totalled from the kernel's own
-:class:`~repro.obs.events.SessionAppend`/:class:`~repro.obs.events.PrefixReuse`
-trace events by a :class:`~repro.obs.sink.SessionStatsSink`.
+``GET /stats`` are the sessions' own
+(:meth:`~repro.engine.session.EngineSession.counters`), so the service
+installs no trace sink and its checks run the untraced path.
 
 Verdict fidelity is the contract: a fresh check runs the model's one
 decision procedure, :meth:`repro.checking.models.MemoryModel.check`, and
@@ -47,7 +48,6 @@ import secrets
 import threading
 import time
 from collections import OrderedDict
-from contextlib import AbstractContextManager
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
@@ -57,14 +57,13 @@ from repro.checking.models import resolve_models as _resolve_models
 from repro.core.errors import CheckerError, EngineError, ReproError
 from repro.core.history import SystemHistory
 from repro.core.serialization import (
+    canonical_history_json,
     check_result_to_dict,
     history_from_dict,
-    history_to_dict,
 )
 from repro.engine import CheckEngine, SweepSpec, open_store
-from repro.engine.session import EngineSession
+from repro.engine.session import SESSION_COUNTERS, EngineSession
 from repro.kernel.constraints import plane_cache_stats
-from repro.obs.sink import SessionStatsSink, tracing
 from repro.serve.http import json_body
 
 __all__ = [
@@ -119,17 +118,25 @@ def _canonical(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def job_key(history: SystemHistory, models: tuple[str, ...]) -> str:
+def job_key(
+    history: SystemHistory,
+    models: tuple[str, ...],
+    *,
+    encoded: str | None = None,
+) -> str:
     """The content address of one check job.
 
     A hash of the canonical wire encoding of the history plus the sorted
     model set — the same history submitted as litmus text, a catalog
     name, or a wire dict lands on the same key, which is what makes the
-    store a cache and not just a log.
+    store a cache and not just a log.  ``encoded``, when given, is
+    ``canonical_history_json(history)`` already computed (a catalog
+    entry keeps its own).
     """
-    payload = _canonical(
-        {"history": history_to_dict(history), "models": sorted(models)}
-    )
+    if encoded is None:
+        encoded = canonical_history_json(history)
+    # The canonical JSON of {"history": wire, "models": sorted(models)}.
+    payload = f'{{"history":{encoded},"models":{_canonical(sorted(models))}}}'
     digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
     return f"chk:{digest[:32]}"
 
@@ -148,11 +155,21 @@ def resolve_history(value: Any) -> SystemHistory:
     CLI).  Anything else — or a parse failure — raises
     :class:`ServeError`, which the HTTP layer maps to a 400.
     """
+    return resolve_submission(value)[0]
+
+
+def resolve_submission(value: Any) -> tuple[SystemHistory, str]:
+    """:func:`resolve_history` plus :func:`canonical_history_json` of it.
+
+    A catalog entry's encoding is computed once and kept on the entry,
+    so a named submission is keyed without serializing its history.
+    """
     if isinstance(value, dict):
         try:
-            return history_from_dict(value)
+            history = history_from_dict(value)
         except ReproError as exc:
             raise ServeError(f"bad history dict: {exc}") from exc
+        return history, canonical_history_json(history)
     if isinstance(value, str):
         from repro.litmus import CATALOG, parse_history
 
@@ -162,11 +179,12 @@ def resolve_history(value: Any) -> SystemHistory:
             if len(matches) == 1:
                 entry = CATALOG[matches[0]]
         if entry is not None:
-            return entry.history
+            return entry.history, entry.canonical_json
         try:
-            return parse_history(value)
+            history = parse_history(value)
         except ReproError as exc:
             raise ServeError(f"bad litmus text: {exc}") from exc
+        return history, canonical_history_json(history)
     raise ServeError(
         f"history must be litmus text, a catalog name, or a wire dict; "
         f"got {type(value).__name__}"
@@ -266,6 +284,9 @@ class CheckService:
             "evicted": 0,
             "closed": 0,
         }
+        # The incremental counters of sessions no longer in the table, so
+        # /stats totals every session the service has run.
+        self._retired_counters = dict.fromkeys(SESSION_COUNTERS, 0)
         self._stats_lock = threading.Lock()
         self._verdicts: dict[str, dict[str, int]] = {}
         self._model_seconds: dict[str, float] = {}
@@ -277,15 +298,6 @@ class CheckService:
         }
         self.started = time.time()
         self.closing = False
-        # Kernel-level event counts for /stats: one process-global
-        # stats sink for the service's lifetime (the obs layer's
-        # opt-in installation; zero-cost for models it never touches).
-        # The session-aware subclass also totals the incremental
-        # counters — appends, planes grown in place, prefix-memory
-        # hits/misses — that the /stats "sessions" block reports.
-        self._sink = SessionStatsSink()
-        self._tracing: AbstractContextManager[Any] | None = tracing(self._sink)
-        self._tracing.__enter__()
         if self.store is not None:
             with self._store_lock:
                 self.store.append_run_header(
@@ -366,12 +378,11 @@ class CheckService:
 
     # -- lookups -----------------------------------------------------------------
 
-    def cached_response(self, key: str) -> bytes | dict | None:
-        """The response for ``key``, if known.
+    def cached_response(self, key: str) -> bytes | None:
+        """The encoded hit body for ``key``, or ``None`` for an unknown key.
 
-        A check in the memory cache comes back as its encoded hit body,
-        ready to write; one only the store knows, as the store record's
-        response dict; an unknown key as ``None``.
+        A key only the store knows is read and encoded once, then served
+        from the memory cache like any other hit.
         """
         with self._results_lock:
             body = self._hit(key)
@@ -394,7 +405,8 @@ class CheckService:
         with self._stats_lock:
             self._counters["cache_hits"] += 1
 
-    def _stored_response(self, key: str) -> dict | None:
+    def _stored_response(self, key: str) -> bytes | None:
+        """The store record's hit body, remembered in the memory cache."""
         if self.store is None:
             return None
         with self._store_lock:
@@ -405,14 +417,17 @@ class CheckService:
             return None
         with self._stats_lock:
             self._counters["store_hits"] += 1
-        response = {
-            "key": key,
-            "models": record.get("models", {}),
-            "explored": record.get("explored", {}),
-            "views": record.get("views", {}),
-            "cached": True,
-        }
-        return response
+        body = json_body(
+            {
+                "key": key,
+                "models": record.get("models", {}),
+                "explored": record.get("explored", {}),
+                "views": record.get("views", {}),
+                "cached": True,
+            }
+        )
+        self._remember(key, body)
+        return body
 
     # -- submission --------------------------------------------------------------
 
@@ -423,16 +438,16 @@ class CheckService:
 
     def submit_check(
         self, history_input: Any, models_input: Any = None
-    ) -> tuple[str, bytes | dict | Future]:
+    ) -> tuple[str, bytes | Future]:
         """Key plus the outcome, answered without the pool where possible.
 
-        The outcome is the encoded hit body (memory cache), the store
-        record's response dict (store hit), or a future of the cold
-        body.  A key already being checked gets that check's future.
+        The outcome is the encoded hit body (memory cache or store) or a
+        future of the cold body.  A key already being checked gets that
+        check's future.
         """
-        history = resolve_history(history_input)
+        history, encoded = resolve_submission(history_input)
         models = resolve_models(models_input)
-        key = job_key(history, models)
+        key = job_key(history, models, encoded=encoded)
         with self._results_lock:
             body = self._hit(key)
             pending = self._inflight.get(key)
@@ -559,8 +574,9 @@ class CheckService:
             self._sessions[state.id] = state
             self._session_counters["created"] += 1
             while len(self._sessions) > self.config.max_sessions:
-                self._sessions.popitem(last=False)
+                _, evicted = self._sessions.popitem(last=False)
                 self._session_counters["evicted"] += 1
+                self._retire(evicted)
         return {
             "session": state.id,
             "models": list(models),
@@ -681,6 +697,7 @@ class CheckService:
             state = self._sessions.pop(session_id, None)
             if state is not None:
                 self._session_counters["closed"] += 1
+                self._retire(state)
         if state is None:
             return None
         with state.lock:
@@ -690,10 +707,19 @@ class CheckService:
                 "operations": len(state.session.history.operations),
             }
 
+    def _retire(self, state: SessionState) -> None:
+        """Keep a departing session's counters.  Callers hold ``_sessions_lock``.
+
+        An append still running on an evicted session is counted up to
+        the eviction.
+        """
+        for name, count in state.session.counters().items():
+            self._retired_counters[name] += count
+
     # -- stats -------------------------------------------------------------------
 
     def stats(self) -> dict:
-        """The ``GET /stats`` aggregate: service + store + kernel events."""
+        """The ``GET /stats`` aggregate: service, sessions, plane cache, store."""
         with self._stats_lock:
             counters = dict(self._counters)
             verdicts = {m: dict(v) for m, v in sorted(self._verdicts.items())}
@@ -710,24 +736,25 @@ class CheckService:
             sessions = {
                 "active": len(self._sessions),
                 **self._session_counters,
+                **self._retired_counters,
             }
-        # The incremental counters come from the obs events the kernel
-        # sessions emit (SessionAppend / PrefixReuse), not from serve's
-        # own bookkeeping — /stats is a consumer of the trace stream.
-        sessions.update(self._sink.session_counters())
+            for state in self._sessions.values():
+                for name, count in state.session.counters().items():
+                    sessions[name] += count
         stats = {
             "uptime_seconds": round(time.time() - self.started, 3),
             "workers": self.config.workers,
             "plane_cache": plane_cache_stats(),
             # Always zero now that no check runs the prepass; kept because
             # bench/workloads.py reads it, until the next benchmark change.
-            "prepass_rules": self._sink.prepass_counters(),
+            "prepass_rules": dict.fromkeys(
+                ("denied", "admitted", "passed", "abstained"), 0
+            ),
             "counters": counters,
             "verdicts": verdicts,
             "model_seconds": model_seconds,
             "jobs": jobs_by_status,
             "sessions": sessions,
-            "events": dict(sorted(self._sink.counts.items())),
         }
         if self.store is not None:
             stats["store"] = {
@@ -752,6 +779,3 @@ class CheckService:
                 self.store.append_summary(self.store.summarize())
                 self.store.close()
             self.store = None
-        if self._tracing is not None:
-            self._tracing.__exit__(None, None, None)
-            self._tracing = None

@@ -4,17 +4,19 @@ The paper presents everything as small typeset figures; these helpers
 render the same artifacts on a terminal — histories in the row-per-
 processor layout of Figures 1-4, witness views in the ``S_{p+w}: …``
 notation of Section 3, and the Figure 5 lattice as layered text.
+Only :func:`render_lattice` needs networkx, and imports it when called.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
-
-import networkx as nx
+from typing import TYPE_CHECKING, Mapping
 
 from repro.core.history import SystemHistory
 from repro.core.view import View
 from repro.litmus.dsl import format_history
+
+if TYPE_CHECKING:
+    import networkx
 
 __all__ = ["render_history", "render_views", "render_lattice", "render_verdicts"]
 
@@ -35,12 +37,14 @@ def render_views(views: Mapping, *, indent: str = "  ") -> str:
     return "\n".join(lines)
 
 
-def render_lattice(g: nx.DiGraph) -> str:
+def render_lattice(g: networkx.DiGraph) -> str:
     """Layered rendering of a Hasse diagram (strongest models on top).
 
     Matches the paper's Figure 5 reading: a model is contained in (allows
     fewer histories than) everything connected below it.
     """
+    import networkx as nx
+
     lines = ["strongest"]
     for layer in nx.topological_generations(g):
         names = "   ".join(sorted(layer))

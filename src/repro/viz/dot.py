@@ -3,16 +3,19 @@
 No Graphviz binding is required at run time — the functions emit DOT
 source text that any external renderer accepts.  Used by the examples to
 dump the Figure 5 diagram and the causal/semi-causal orders of witness
-histories.
+histories.  Only :func:`relation_to_dot` needs networkx (for the
+transitive reduction), and imports it when called.
 """
 
 from __future__ import annotations
 
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.core.operation import Operation
 from repro.orders.relation import Relation
+
+if TYPE_CHECKING:
+    import networkx
 
 __all__ = ["relation_to_dot", "lattice_to_dot"]
 
@@ -32,6 +35,8 @@ def relation_to_dot(
     Reduction makes closures readable: the paper draws ``->co`` and
     ``->sem`` as their generating edges, not their closures.
     """
+    import networkx as nx
+
     g = nx.DiGraph()
     g.add_nodes_from(str(op) for op in rel.items)
     g.add_edges_from((str(a), str(b)) for a, b in rel.pairs())
@@ -46,7 +51,7 @@ def relation_to_dot(
     return "\n".join(lines)
 
 
-def lattice_to_dot(g: nx.DiGraph, *, name: str = "figure5") -> str:
+def lattice_to_dot(g: networkx.DiGraph, *, name: str = "figure5") -> str:
     """DOT digraph of a memory-strength Hasse diagram (stronger → weaker)."""
     lines = [f"digraph {name} {{", "  rankdir=TB;", '  node [shape=box];']
     for node in sorted(g.nodes):

@@ -11,11 +11,13 @@ with critical-section spans marked.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.history import SystemHistory
 from repro.core.operation import Operation
-from repro.programs.runner import RunResult
+
+if TYPE_CHECKING:
+    from repro.programs.runner import RunResult
 
 __all__ = ["render_timeline", "render_run"]
 

@@ -94,3 +94,21 @@ def test_interleaved_sessions_stay_correct():
         want = check_with_spec(MODELS["SC"].spec, s.history)
         assert s.last_results["SC"].allowed == want.allowed
         assert s.last_results["SC"].explored == want.explored
+
+
+def test_counters_equal_the_session_stats_sink_totals():
+    """The sessions' own counters match what the trace events total."""
+    from repro.checking.models import resolve_models
+    from repro.litmus import CATALOG
+    from repro.obs import SessionStatsSink, tracing
+
+    models = resolve_models("spec")
+    for name, entry in CATALOG.items():
+        with tracing(SessionStatsSink()) as sink:
+            session = EngineSession(models)
+            for op in entry.history.operations:
+                session.append(op)
+        assert session.counters() == sink.session_counters(), name
+        assert session.counters()["appends"] == len(models) * len(
+            entry.history.operations
+        )

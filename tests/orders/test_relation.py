@@ -62,7 +62,7 @@ class TestCombinators:
         r = rel("abc", [("a", "b"), ("b", "c")]).transitive_closure()
         assert ("a", "c") in r
 
-    def test_closure_large_uses_numpy_path(self):
+    def test_closure_of_a_long_chain(self):
         items = list(range(20))
         chain = rel(items, [(i, i + 1) for i in range(19)])
         closed = chain.transitive_closure()

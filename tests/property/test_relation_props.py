@@ -44,14 +44,49 @@ def test_union_commutative_on_pairs(p1, p2):
 
 
 @given(pairs)
-def test_numpy_and_worklist_closures_agree(pair_list):
-    # Force both code paths on identical input: a small relation uses the
-    # worklist; embed the same pairs in a larger universe for numpy.
+def test_closure_ignores_items_outside_the_pairs(pair_list):
+    # The same pairs over a 6-item and a 12-item universe close alike.
     small = Relation(range(6), [(a % 6, b % 6) for a, b in pair_list if a % 6 != b % 6])
     big = Relation(range(12), [(a % 6, b % 6) for a, b in pair_list if a % 6 != b % 6])
     sc = set(small.transitive_closure().pairs())
     bc = set(big.transitive_closure().pairs())
     assert sc == {(a, b) for a, b in bc if a < 6 and b < 6}
+
+
+@st.composite
+def any_relation(draw):
+    """0-40 items and any pairs over them, self-loops and cycles included."""
+    n = draw(st.integers(min_value=0, max_value=40))
+    if n == 0:
+        return n, []
+    item = st.integers(min_value=0, max_value=n - 1)
+    return n, draw(st.lists(st.tuples(item, item), max_size=3 * n))
+
+
+def reachable(n, pair_list):
+    """Brute-force ``R+``: (a, b) when b is reached from a in one or more steps."""
+    succ = {a: set() for a in range(n)}
+    for a, b in pair_list:
+        succ[a].add(b)
+    out = set()
+    for a in range(n):
+        frontier, seen = list(succ[a]), set(succ[a])
+        while frontier:
+            for c in succ[frontier.pop()]:
+                if c not in seen:
+                    seen.add(c)
+                    frontier.append(c)
+        out |= {(a, b) for b in seen}
+    return out
+
+
+@given(any_relation())
+@settings(max_examples=200)
+def test_closure_is_reachability(relation):
+    n, pair_list = relation
+    closed = Relation(range(n), pair_list).transitive_closure()
+    assert set(closed.pairs()) == reachable(n, pair_list)
+    assert closed.items == tuple(range(n))
 
 
 @given(pairs)

@@ -1,5 +1,6 @@
 """Unit tests for the service core: keys, resolution, caching, drain."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -17,11 +18,13 @@ from repro.core.errors import EngineError
 from repro.core.serialization import history_to_dict
 from repro.engine import SqliteResultStore
 from repro.litmus import CATALOG, format_history
+from repro.obs import active_sink
 from repro.serve import CheckService, ServeConfig, job_key
 from repro.serve.service import (
     ServeError,
     resolve_history,
     resolve_models,
+    resolve_submission,
     sweep_key,
 )
 
@@ -38,6 +41,28 @@ class TestJobKey:
         assert len(keys) == 1
         key = keys.pop()
         assert key.startswith("chk:") and len(key) == 4 + 32
+
+    @pytest.mark.parametrize("name", list(CATALOG))
+    def test_every_catalog_entry_keys_alike_in_every_form(self, name):
+        """The entry's kept encoding keys like its text and its wire dict.
+
+        And like the whole-payload encoding the key has always hashed,
+        so stores written before stay addressable.
+        """
+        history = CATALOG[name].history
+        wire = history_to_dict(history)
+        models = ("TSO", "SC")
+        keys = set()
+        for form in (name, CATALOG[name].text, wire):
+            resolved, encoded = resolve_submission(form)
+            keys.add(job_key(resolved, models, encoded=encoded))
+        payload = json.dumps(
+            {"history": wire, "models": sorted(models)},
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        assert keys == {job_key(history, models), f"chk:{digest[:32]}"}
 
     def test_model_order_does_not_matter(self):
         history = CATALOG["fig1-sb"].history
@@ -117,16 +142,31 @@ class TestServiceCaching:
         try:
             hit = second.cached_response(key)
             assert hit is not None
-            assert hit["cached"] is True
-            assert hit["models"] == {"SC": False, "TSO": True}
+            assert json.loads(hit)["cached"] is True
+            assert json.loads(hit)["models"] == {"SC": False, "TSO": True}
             assert second.stats()["counters"]["store_hits"] == 1
-            # And a resubmission resolves without touching the pool.
+            # A resubmission resolves without touching the pool, from the
+            # memory cache the store hit filled.
             key2, outcome2 = second.submit_check("fig1-sb", "SC,TSO")
             assert key2 == key
             assert not isinstance(outcome2, Future)
             assert outcome2 == hit
+            counters = second.stats()["counters"]
+            assert (counters["store_hits"], counters["cache_hits"]) == (1, 1)
         finally:
             second.drain()
+
+    def test_service_installs_no_trace_sink(self):
+        service = CheckService(ServeConfig(workers=1))
+        try:
+            assert active_sink() is None
+            _, outcome = service.submit_check("fig1-sb", "SC")
+            outcome.result(timeout=60)
+            assert active_sink() is None
+            assert "events" not in service.stats()
+        finally:
+            service.drain()
+        assert active_sink() is None
 
     def test_memory_cache_hit(self):
         service = CheckService(ServeConfig(workers=1))

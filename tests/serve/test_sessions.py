@@ -190,6 +190,29 @@ class TestServiceUnits:
         finally:
             service.drain()
 
+    def test_session_counters_outlive_closed_and_evicted_sessions(self):
+        service = CheckService(
+            ServeConfig(workers=1, log_requests=False, max_sessions=1)
+        )
+        try:
+            first = service.create_session({"models": ["SC", "TSO"]}).result()
+            service.append_session(
+                first["session"], {"ops": ["p: w(x)1", "q: r(x)1"]}
+            ).result()
+            totals = service.stats()["sessions"]
+            assert totals["appends"] == 2 * 2
+            # A second session evicts the first, then is closed itself.
+            second = service.create_session({"models": ["SC"]}).result()
+            service.append_session(second["session"], {"op": "p: w(y)1"}).result()
+            service.close_session(second["session"])
+            after = service.stats()["sessions"]
+            assert (after["active"], after["evicted"], after["closed"]) == (0, 1, 1)
+            assert after["appends"] == 2 * 2 + 1
+            for name in ("planes_grown", "reuse_hits", "reuse_misses", "fallbacks"):
+                assert after[name] >= totals[name]
+        finally:
+            service.drain()
+
     def test_appends_survive_a_partial_line_error(self):
         service = CheckService(ServeConfig(workers=1, log_requests=False))
         try:
