@@ -6,7 +6,7 @@ verdict split, shows that the TSO store-buffer machine actually produces
 the history, and benchmarks both checkers on it.
 """
 
-from repro.checking import check_sc, check_tso
+from repro.checking import check, check_tso
 from repro.litmus import CATALOG
 from repro.machines import TSOMachine
 from repro.programs import Read, Write, explore
@@ -39,7 +39,7 @@ def test_fig1_claims(record_claims, benchmark):
         h = FIG1.history
         return [
             ("allowed by TSO", True, check_tso(h).allowed),
-            ("allowed by SC", False, check_sc(h).allowed),
+            ("allowed by SC", False, check(h, "SC").allowed),
             ("TSO machine reaches it", True, _machine_reaches_fig1()),
         ]
 
@@ -55,7 +55,7 @@ def test_bench_tso_checker_on_fig1(benchmark):
 
 def test_bench_sc_checker_on_fig1(benchmark):
     h = FIG1.history
-    result = benchmark(lambda: check_sc(h))
+    result = benchmark(lambda: check(h, "SC"))
     assert not result.allowed
 
 

@@ -7,7 +7,7 @@ write-order agreement (TSO, PC, coherence) forbids.  The replicated-FIFO
 PRAM machine reproduces the outcome operationally.
 """
 
-from repro.checking import check_pram, check_tso
+from repro.checking import check, check_tso
 from repro.litmus import CATALOG
 from repro.machines import PRAMMachine
 from repro.programs import Read, Write, explore
@@ -38,7 +38,7 @@ def test_fig3_claims(record_claims, benchmark):
 
     def verify():
         h = FIG3.history
-        pram = check_pram(h)
+        pram = check(h, "PRAM")
         # The paper prints S_{p+w} = w_p(x)1 r_p(x)1 w_q(x)2 r_p(x)2 exactly.
         paper_view = [str(op) for op in pram.views["p"]] == [
             "w_p(x)1", "r_p(x)1", "w_q(x)2", "r_p(x)2",
@@ -56,7 +56,7 @@ def test_fig3_claims(record_claims, benchmark):
 
 def test_bench_pram_checker_on_fig3(benchmark):
     h = FIG3.history
-    result = benchmark(lambda: check_pram(h))
+    result = benchmark(lambda: check(h, "PRAM"))
     assert result.allowed
 
 

@@ -11,8 +11,7 @@ framework's three core operations:
 Run:  python examples/quickstart.py
 """
 
-from repro import classify, parse_history
-from repro.checking import check_sc, check_tso
+from repro import check, classify, parse_history
 from repro.viz import render_history, render_views
 
 # Figure 1 of the paper: each processor writes one location, then reads
@@ -34,13 +33,13 @@ def main() -> None:
         print(f"  {model:8s} {'allowed' if allowed else 'NOT allowed'}")
 
     # SC rejects it: no single legal total order explains both reads.
-    sc = check_sc(history)
+    sc = check(history, "SC")
     print(f"\nSC says: {sc.reason}")
 
     # TSO allows it, and the checker exhibits the paper's witness views:
     # each processor sees its own read early, and all views agree on the
     # order of the two writes (mutual consistency).
-    tso = check_tso(history)
+    tso = check(history, "TSO")
     print("\nTSO witness views (one legal sequence per processor):")
     print(render_views(tso.views))
 

@@ -1,8 +1,8 @@
 """Consistency checkers: decide whether a history is allowed by a model.
 
 The registry (:mod:`repro.checking.models`) maps every model name to the
-kernel search or to one of the fast paths kept here; the search itself and
-the result types live in :mod:`repro.kernel`.
+kernel search or to one of the TSO deciders kept here; the search itself
+and the result types live in :mod:`repro.kernel`.
 """
 
 from repro.checking.axiomatic_tso import check_axiomatic_tso
@@ -16,16 +16,12 @@ from repro.checking.models import (
     model_names,
     resolve_models,
 )
-from repro.checking.pram import check_pram
-from repro.checking.sc import check_sc
 from repro.checking.tso import check_tso
 from repro.checking.witness import validate_witness
 
 __all__ = [
     "check",
     "check_axiomatic_tso",
-    "check_pram",
-    "check_sc",
     "check_tso",
     "classify",
     "get_model",

@@ -3,12 +3,11 @@
 :data:`repro.spec.registry.ALL_SPECS` is the list of models: every spec
 is a model of the same name, decided by the kernel's
 :func:`~repro.kernel.search.check_with_spec`.  Two pieces sit on top of
-it: :data:`_FAST_PATHS`, the hand-written strategies measured to beat the
-kernel on the same histories (EXPERIMENTS.md E20), and the one spec-less
-model, the axiomatic TSO reference.  :func:`get_model` and
-:func:`resolve_models` are the one lookup every surface (CLI, service,
-engine, fuzzer) goes through; ``check`` and ``classify`` are the
-top-level entry points most client code uses.
+it: :data:`_FAST_PATHS`, the hand-written TSO strategy (EXPERIMENTS.md
+E20), and the one spec-less model, the axiomatic TSO reference.
+:func:`get_model` and :func:`resolve_models` are the one lookup every
+surface (CLI, service, engine, fuzzer) goes through; ``check`` and
+``classify`` are the top-level entry points most client code uses.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.checking.axiomatic_tso import check_axiomatic_tso
-from repro.checking.pram import check_pram
-from repro.checking.sc import check_sc
 from repro.checking.tso import check_tso
 from repro.core.errors import CheckerError
 from repro.core.history import SystemHistory
@@ -84,14 +81,11 @@ class MemoryModel:
         return check_with_spec(self.spec, history, budget)
 
 
-#: The fast paths that still beat the kernel end to end (E20): SC is one
-#: linear extension of program order, TSO places reads greedily per shared
-#: write order, PRAM merges per-processor streams.  Every other spec model
-#: is decided by the kernel alone.
+#: The hand-written strategies kept beside the kernel: TSO places reads
+#: greedily per shared write order (E20).  Every other spec model,
+#: SC and PRAM included (E30), is decided by the kernel alone.
 _FAST_PATHS: dict[str, Callable[[SystemHistory], CheckResult]] = {
-    "SC": check_sc,
     "TSO": check_tso,
-    "PRAM": check_pram,
 }
 
 

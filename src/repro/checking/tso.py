@@ -27,7 +27,9 @@ history plane's compiled ``ppo`` rows; reads are placed on universe
 indices throughout.
 
 Falls back to the generic solver for histories with RMW operations or
-duplicated write values, where the greedy argument does not apply.
+duplicated write values, where the greedy argument does not apply, and
+for histories with a read no write can serve, which the kernel denies
+before enumerating anything.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from repro.core.view import View
 from repro.kernel.backend import masks_acyclic
 from repro.kernel.constraints import HistoryPlane, history_plane, rule_masks
 from repro.kernel.results import CheckResult
+from repro.kernel.rf import impossible_read
 from repro.kernel.search import SearchBudget, check_with_spec
 from repro.kernel.serializations import iter_linear_extensions, write_order_masks
 from repro.spec.parameters import PPO
@@ -52,8 +55,13 @@ def check_tso(history: SystemHistory, budget: SearchBudget | None = None) -> Che
     """Decide TSO membership, with witness views on success."""
     plane = history_plane(history)
     rf = plane.unique_rf
-    if rf is None or any(op.kind is OpKind.RMW for op in history.operations):
+    if (
+        rf is None
+        or any(op.kind is OpKind.RMW for op in history.operations)
+        or impossible_read(history, plane.candidates) is not None
+    ):
         # Ambiguous reads-from or RMWs: the greedy argument does not apply.
+        # A read no write can serve: the kernel denies without enumerating.
         return check_with_spec(TSO_SPEC, history, budget)
 
     forced = write_order_masks(plane, rf)

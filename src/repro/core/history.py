@@ -267,7 +267,7 @@ class SystemHistory(Mapping[Any, ProcessorHistory]):
         """True when no two writes to the same location store the same value.
 
         The conventional discipline under which the writes-before relation is
-        a function of the history; all fast-path checkers require it.
+        a function of the history; the TSO fast path requires it.
         """
         seen: set[tuple[str, int]] = set()
         for op in self._all_ops:

@@ -2,7 +2,7 @@
 
 The repository holds four independent answers to "does model M admit
 history H": the layered kernel, the frozen pre-kernel solver, the
-per-model fast paths, and the polynomial static pre-pass — plus two
+TSO fast path, and the polynomial static pre-pass — plus two
 classes of invariant that hold *for free* on any history: the Figure 5
 containment lattice and operational-machine soundness (a machine's trace
 is always admitted by its own model).  This package cross-examines all of

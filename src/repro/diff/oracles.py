@@ -3,8 +3,8 @@
 The repository can decide "does model M admit history H" five ways:
 
 * **fast** — the registered preferred decision procedure
-  (:meth:`repro.checking.models.MemoryModel.check`: per-model fast paths
-  where they exist, the kernel driver otherwise);
+  (:meth:`repro.checking.models.MemoryModel.check`: TSO's fast path and
+  the axiomatic TSO reference, the kernel driver otherwise);
 * **kernel** — the layered constraint kernel's generic driver
   (:func:`repro.kernel.check_with_spec`), uniformly for every spec-backed
   model;

@@ -89,7 +89,7 @@ class EngineSession:
     models:
         Model names to track; every name must be registered and
         spec-backed (incremental checking drives the kernel, not the
-        per-model fast paths).  Defaults to the paper's Figure 5 set.
+        TSO fast path).  Defaults to the paper's Figure 5 set.
     history:
         Optional seed prefix; its verdict is computed eagerly so the
         first streamed append already has a predecessor to extend.

@@ -77,9 +77,6 @@ from repro.spec.parameters import MutualConsistency
 
 __all__ = ["HistoryStream", "IncrementalCheck"]
 
-#: The solver's universe limit; a stream refuses to grow past it.
-_MAX_OPS = 64
-
 #: The driver's DENY reason when the candidate enumeration runs dry.
 _SEARCH_DENY = "no choice of views satisfies the model's requirements"
 
@@ -125,17 +122,7 @@ class HistoryStream:
         numbering).  Returns the placed operation and whether the plane
         was grown in place (``False`` means a full recompile — the append
         *rescued* an existing read or followed an ambiguous prefix).
-
-        Raises
-        ------
-        CheckerError
-            If the stream would exceed the solver's 64-operation limit.
         """
-        if len(self.history.operations) + 1 > _MAX_OPS:
-            raise CheckerError(
-                f"stream of {len(self.history.operations) + 1} operations "
-                f"exceeds the {_MAX_OPS}-operation solver limit"
-            )
         own = self._ops.setdefault(op.proc, [])
         placed = (
             op
@@ -396,8 +383,8 @@ class IncrementalCheck:
                 reuse=memory,
             )
         except CheckerError:
-            # Budget blown (or the stream outgrew the solver): the run's
-            # partial memory is meaningless — drop it and re-raise.
+            # Budget blown: the run's partial memory is meaningless — drop
+            # it and re-raise.
             if memory is not None:
                 memory.reset()
             raise

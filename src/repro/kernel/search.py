@@ -15,12 +15,21 @@ The module exposes two surfaces:
 
 * the legal-extension API —
   :func:`find_legal_extension`, :func:`iter_legal_extensions`,
-  :func:`count_legal_extensions` — with identical semantics (including the
-  64-operation limit and determinism guarantees), and
+  :func:`count_legal_extensions` — with identical semantics and
+  determinism guarantees, and
 * the generic spec-driven driver :func:`check_with_spec` (plus
   :func:`explain_with_spec` for counterexamples), which composes layers
-  1–3 and replaces the old monolithic solver while preserving its verdicts,
-  witnesses, ``explored`` counts and budget semantics exactly.
+  1–3 and decides every spec model, SC and PRAM included; only TSO keeps
+  a hand-written strategy beside it (:mod:`repro.checking.tso`).
+
+Views of any length are searched: the masks are Python ints, and the
+DFS keeps an explicit stack.  There is no operation cap.  When a view's
+ordering contains each processor's program order, a search state is a
+prefix of every processor's sequence plus a memory state, so the failure
+memo holds at most ∏(len_p + 1) placed-sets (docs/kernel.md, "Why long
+views are decidable").  Where the ordering is weaker than program order
+the memo can grow exponentially, and only the caller's patience bounds
+the search.
 
 Ambiguity
 ---------
@@ -28,7 +37,7 @@ The paper (and the litmus-test tradition) assumes distinct write values so
 the writes-before relation is a function of the history.  When a history
 violates that discipline we define "allowed" as: *there exists* a
 reads-from attribution under which the model's constraints are satisfiable.
-All fast paths and all experiments use distinct values.
+The TSO fast path and all experiments use distinct values.
 """
 
 from __future__ import annotations
@@ -80,8 +89,6 @@ __all__ = [
     "iter_legal_orders",
     "count_legal_extensions",
 ]
-
-_MAX_OPS = 64
 
 
 class SearchBudget:
@@ -224,12 +231,7 @@ def _prepare(
     ops: Sequence[Operation], pred: Sequence[int]
 ) -> tuple[Sequence[int], list[int], list[int | None], list[int | None], int] | None:
     """Masks and payloads for an ad-hoc operation set, or ``None`` if cyclic."""
-    n = len(ops)
-    if n > _MAX_OPS:
-        raise CheckerError(
-            f"view of {n} operations exceeds the {_MAX_OPS}-operation solver limit"
-        )
-    if not masks_acyclic(pred, n):
+    if not masks_acyclic(pred, len(ops)):
         return None
     return (pred, *_payloads(ops))
 
@@ -718,11 +720,6 @@ def _solve_views(
     combined = base if extra is None else _union(base, extra)
     searched = _union(combined, prop)
     if cc.identical:
-        if cc.n > _MAX_OPS:
-            raise CheckerError(
-                f"view of {cc.n} operations exceeds the "
-                f"{_MAX_OPS}-operation solver limit"
-            )
         if fresh and not masks_acyclic(searched, cc.n):
             if sink is not None:
                 sink.emit(ViewStuck(proc="*", reason="constraint-cycle"))
@@ -754,11 +751,6 @@ def _solve_views(
                 return None
             masks = _union(masks, own[proc])
         vp = cc.views[proc]
-        if len(vp.members) > _MAX_OPS:
-            raise CheckerError(
-                f"view of {len(vp.members)} operations exceeds the "
-                f"{_MAX_OPS}-operation solver limit"
-            )
         if fresh and not masks_acyclic_within(masks, vp.bits):
             if sink is not None:
                 sink.emit(ViewStuck(proc=str(proc), reason="constraint-cycle"))

@@ -2,8 +2,8 @@
 
 A :class:`MemoryModelSpec` is the declarative description of a memory in
 the paper's framework.  It does not itself decide anything; the kernel
-search (:mod:`repro.kernel.search`) interprets it, and the fast paths in
-:mod:`repro.checking` are verified against it in the test suite.
+search (:mod:`repro.kernel.search`) interprets it, and the TSO fast path
+in :mod:`repro.checking` is verified against it in the test suite.
 """
 
 from __future__ import annotations

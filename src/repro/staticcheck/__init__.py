@@ -29,37 +29,20 @@ dynamic :mod:`repro.analysis.labeling` checks on scheduler-generated
 histories, and continuously by the ``program:*`` fuzz strata of
 :mod:`repro.diff.programs`.  All of this is exposed by
 ``python -m repro lint {history,spec,program}``.
+
+The program analyses parse programs with :mod:`repro.programs`, whose
+schedulers need numpy; their names load on first use, so ``lint
+history`` and ``lint spec`` load neither.
 """
 
-from repro.staticcheck.cfg import (
-    Cfg,
-    CfgNode,
-    build_cfg,
-    cs_bracketed,
-    must_in_cs,
-)
-from repro.staticcheck.drf import (
-    CertificationResult,
-    DrfCertificate,
-    Obligation,
-    certify_program,
-    verify_certificate,
-)
+from importlib import import_module
+from typing import TYPE_CHECKING, Any
+
 from repro.staticcheck.prepass import (
     HistoryPrepass,
     PrepassVerdict,
     compile_prepass,
     prepass_check,
-)
-from repro.staticcheck.progcheck import (
-    LabelPatch,
-    PotentialRace,
-    ProgramReport,
-    SharedAccess,
-    analyze_program,
-    competing_pairs,
-    infer_labels,
-    report_covers_races,
 )
 from repro.staticcheck.speclint import (
     SpecFinding,
@@ -68,6 +51,62 @@ from repro.staticcheck.speclint import (
     lint_registry,
     lint_spec,
 )
+
+if TYPE_CHECKING:
+    from repro.staticcheck.cfg import (
+        Cfg,
+        CfgNode,
+        build_cfg,
+        cs_bracketed,
+        must_in_cs,
+    )
+    from repro.staticcheck.drf import (
+        CertificationResult,
+        DrfCertificate,
+        Obligation,
+        certify_program,
+        verify_certificate,
+    )
+    from repro.staticcheck.progcheck import (
+        LabelPatch,
+        PotentialRace,
+        ProgramReport,
+        SharedAccess,
+        analyze_program,
+        competing_pairs,
+        infer_labels,
+        report_covers_races,
+    )
+
+#: Names served on first use, by the submodule that defines them.
+_LAZY = {
+    **dict.fromkeys(
+        ("Cfg", "CfgNode", "build_cfg", "cs_bracketed", "must_in_cs"), "cfg"
+    ),
+    **dict.fromkeys(
+        (
+            "CertificationResult",
+            "DrfCertificate",
+            "Obligation",
+            "certify_program",
+            "verify_certificate",
+        ),
+        "drf",
+    ),
+    **dict.fromkeys(
+        (
+            "LabelPatch",
+            "PotentialRace",
+            "ProgramReport",
+            "SharedAccess",
+            "analyze_program",
+            "competing_pairs",
+            "infer_labels",
+            "report_covers_races",
+        ),
+        "progcheck",
+    ),
+}
 
 __all__ = [
     "HistoryPrepass",
@@ -98,3 +137,12 @@ __all__ = [
     "infer_labels",
     "report_covers_races",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

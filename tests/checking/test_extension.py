@@ -1,9 +1,7 @@
 """Tests for the legal-linear-extension search kernel."""
 
-import pytest
-
 from repro.kernel import count_legal_extensions, find_legal_extension, iter_legal_extensions
-from repro.core import CheckerError, read, write
+from repro.core import read, write
 from repro.core.view import is_legal_sequence
 from repro.litmus import parse_history
 from repro.orders import po_relation
@@ -62,11 +60,16 @@ class TestFindLegalExtension:
         rel = Relation([a, foreign], [(foreign, a)])
         assert find_legal_extension([a], rel) == [a]
 
-    def test_size_limit(self):
-        ops = [write("p", i, "x", i + 1) for i in range(65)]
-        # Indices must be dense per proc; these are, for a single proc.
-        with pytest.raises(CheckerError):
-            find_legal_extension(ops, Relation(ops))
+    def test_long_extension_found(self):
+        # 130 operations: there is no operation cap.  Each read must
+        # follow its own write; program order forces the rest.
+        h = parse_history(
+            "p: " + " ".join(f"w(x){v}" for v in range(1, 66))
+            + " | q: " + " ".join(f"r(x){v}" for v in range(1, 66))
+        )
+        out = find_legal_extension(h.operations, po_relation(h))
+        assert out is not None and len(out) == 130
+        assert is_legal_sequence(out)
 
     def test_rmw_legality(self):
         w = write("p", 0, "x", 1)

@@ -4,7 +4,7 @@ The catalog tests (tests/litmus) sweep every litmus entry; here each
 checker gets focused cases including witness-view validation.
 """
 
-from repro.checking import check, check_pram, check_sc, check_tso
+from repro.checking import check, check_tso
 from repro.core.view import is_legal_sequence
 from repro.litmus import parse_history
 
@@ -12,15 +12,15 @@ from repro.litmus import parse_history
 class TestSC:
     def test_sequential_program_allowed(self):
         h = parse_history("p: w(x)1 r(x)1")
-        assert check_sc(h).allowed
+        assert check(h, "SC").allowed
 
     def test_sb_rejected(self, fig1):
-        res = check_sc(fig1)
+        res = check(fig1, "SC")
         assert not res.allowed and res.reason
 
     def test_witness_views_identical_and_legal(self):
         h = parse_history("p: w(x)1 | q: r(x)1")
-        res = check_sc(h)
+        res = check(h, "SC")
         assert res.allowed
         views = list(res.views.values())
         assert all(tuple(v) == tuple(views[0]) for v in views)
@@ -28,7 +28,7 @@ class TestSC:
 
     def test_read_of_unwritten_value_rejected(self):
         h = parse_history("p: r(x)9")
-        assert not check_sc(h).allowed
+        assert not check(h, "SC").allowed
 
 
 class TestTSO:
@@ -61,6 +61,24 @@ class TestTSO:
         assert check_tso(h).allowed
         h_bad = parse_history("p: u(l)0->1 | q: u(l)0->2")
         assert not check_tso(h_bad).allowed
+
+    def test_unwritten_read_denied_without_enumerating(self):
+        # Two writers with 8 writes each admit C(16, 8) = 12,870 write
+        # orders; a read of a value no write stores rules them all out
+        # before any is tried, with the kernel's reason.
+        def writes(values):
+            return " ".join(
+                f"w({'xy'[i % 2]}){v}" for i, v in enumerate(values)
+            )
+
+        h = parse_history(
+            f"p: {writes(range(1, 9))} | q: {writes(range(9, 17))}"
+            " | r: r(x)1 r(x)999"
+        )
+        res = check_tso(h)
+        assert not res.allowed
+        assert res.explored == 0
+        assert res.reason == "r_r(x)999 observes a value never written to 'x'"
 
     def test_ppo_derived_once_per_check(self, monkeypatch):
         # The greedy placement reuses the plane's ->ppo rows for every
@@ -101,7 +119,7 @@ class TestPC:
 
 class TestPRAM:
     def test_fig3_allowed(self, fig3):
-        res = check_pram(fig3)
+        res = check(fig3, "PRAM")
         assert res.allowed
         for v in res.views.values():
             assert is_legal_sequence(list(v))
@@ -109,17 +127,17 @@ class TestPRAM:
     def test_corr_rejected(self):
         # Remote writes of one processor must be seen in program order.
         h = parse_history("p: w(x)1 w(x)2 | q: r(x)2 r(x)1")
-        assert not check_pram(h).allowed
+        assert not check(h, "PRAM").allowed
 
     def test_iriw_allowed(self):
         h = parse_history(
             "p: w(x)1 | q: w(y)1 | r: r(x)1 r(y)0 | s: r(y)1 r(x)0"
         )
-        assert check_pram(h).allowed
+        assert check(h, "PRAM").allowed
 
     def test_mp_rejected(self):
         h = parse_history("p: w(x)1 w(y)2 | q: r(y)2 r(x)0")
-        assert not check_pram(h).allowed
+        assert not check(h, "PRAM").allowed
 
     @staticmethod
     def _long_writer(reads):
@@ -127,7 +145,8 @@ class TestPRAM:
         return parse_history(f"p: {writes} | q: {reads}")
 
     def test_long_view_allowed(self):
-        # A view of 1,202 operations merges without recursion.
+        # The kernel searches a view of 1,202 operations: it has no
+        # operation cap and no recursion.
         res = check(self._long_writer("r(x)1200"), "PRAM")
         assert res.allowed
         assert [op.value_read for op in res.views["q"] if op.is_read] == [1200]

@@ -62,7 +62,7 @@ class TestRegistry:
 
     def test_fast_paths_only_where_they_pay(self):
         fast = {n for n, m in MODELS.items() if m.fast is not None}
-        assert fast == {"SC", "TSO", "PRAM", "TSO-axiomatic"}
+        assert fast == {"TSO", "TSO-axiomatic"}
 
 
 class TestLookup:

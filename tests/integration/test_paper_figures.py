@@ -6,7 +6,7 @@ and the corresponding operational machine can actually *produce* the
 figure's outcome.
 """
 
-from repro.checking import check, check_pram, check_tso
+from repro.checking import check, check_tso
 from repro.machines import PRAMMachine, TSOMachine
 from repro.programs import Read, Write, explore
 
@@ -72,7 +72,7 @@ class TestFigure3:
 
     def test_paper_views_reproduced(self, fig3):
         # The paper's S_{p+w} = w_p(x)1 r_p(x)1 w_q(x)2 r_p(x)2.
-        res = check_pram(fig3)
+        res = check(fig3, "PRAM")
         view_p = res.views["p"]
         assert [str(op) for op in view_p] == [
             "w_p(x)1",

@@ -15,7 +15,6 @@ from itertools import zip_longest
 import pytest
 
 from repro.checking.models import MODELS, resolve_models
-from repro.core.errors import CheckerError
 from repro.core.serialization import history_from_dict, history_to_dict
 from repro.kernel.constraints import (
     HistoryPlane,
@@ -252,15 +251,28 @@ def test_stream_detects_rescues():
     assert stream.last_reused is False
 
 
-def test_stream_refuses_to_outgrow_the_solver():
+def test_long_stream_matches_one_shot():
+    # 120 appends, far past the 64 operations the solver once refused:
+    # every tenth prefix and the last, which denies under every paper
+    # model, equal a fresh one-shot check field for field.
+    from repro.core.serialization import check_result_to_dict
+    from repro.engine import EngineSession
     from repro.litmus.dsl import parse_operations
 
-    stream = HistoryStream()
-    (op,) = parse_operations("p", "w(x)1")
-    for _ in range(64):
-        stream.append(op)
-    with pytest.raises(CheckerError, match="64-operation"):
-        stream.append(op)
+    ops = []
+    for i in range(1, 60):
+        ops += parse_operations("p", f"w(x){i}") + parse_operations("q", f"r(x){i}")
+    ops += parse_operations("q", "w(y)1 r(x)1")
+    session = EngineSession()
+    for n, op in enumerate(ops, 1):
+        results = session.append(op)
+        if n % 10 and n != len(ops):
+            continue
+        for name, res in results.items():
+            one_shot = check_with_spec(MODELS[name].spec, session.history)
+            assert check_result_to_dict(res) == check_result_to_dict(one_shot)
+    assert len(session.history.operations) == 120
+    assert session.denying() == session.models
 
 
 def test_stream_seeded_with_history():

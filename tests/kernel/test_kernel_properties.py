@@ -1,16 +1,18 @@
 """Property tests: the kernel agrees with every other decision procedure.
 
-Three independent implementations exist for most models — the kernel's
-generic search, a hand-written fast checker, and an operational machine.
-Any disagreement on any history is a bug in one of them.  Swept over the
-full litmus catalog plus seeded random histories.
+Up to three independent implementations exist per model — the kernel's
+generic search, a hand-written fast checker (TSO only), and an
+operational machine.  Any disagreement on any history is a bug in one
+of them.  Every other model's ``check`` *is* the kernel, field for
+field.  Swept over the full litmus catalog plus seeded random histories.
 """
 
 import numpy as np
 import pytest
 
 from repro.analysis import machine_history, random_history
-from repro.checking import MODELS
+from repro.checking import MODELS, check
+from repro.core.serialization import check_result_to_dict
 from repro.kernel.search import check_with_spec
 from repro.litmus import CATALOG
 from repro.machines import MACHINE_MODEL_PAIRS
@@ -19,6 +21,11 @@ from repro.machines import MACHINE_MODEL_PAIRS
 #: kernel, so comparing them with it would be a tautology).
 FAST_MODELS = tuple(
     name for name, m in MODELS.items() if m.spec is not None and m.fast is not None
+)
+
+#: Spec models ``check`` decides with the kernel alone.
+KERNEL_MODELS = tuple(
+    name for name, m in MODELS.items() if m.spec is not None and m.fast is None
 )
 
 
@@ -50,6 +57,33 @@ def test_kernel_agrees_with_fast_checker_on_random_histories(model):
         assert check_with_spec(m.spec, h).allowed == m.check(h).allowed, (
             f"{model} disagrees with kernel on:\n{h}"
         )
+
+
+def _assert_check_is_the_kernel(model, histories):
+    spec = MODELS[model].spec
+    for h in histories:
+        assert check_result_to_dict(check(h, model)) == check_result_to_dict(
+            check_with_spec(spec, h)
+        ), f"{model}: check() differs from the kernel on:\n{h}"
+
+
+@pytest.mark.parametrize("model", KERNEL_MODELS)
+def test_check_is_the_kernel_on_catalog(model):
+    # One decider: verdict, reason, explored, views and witness are the
+    # kernel's (SC and PRAM lost their fast paths in E30).
+    _assert_check_is_the_kernel(model, (t.history for t in CATALOG.values()))
+
+
+@pytest.mark.parametrize("model", KERNEL_MODELS)
+def test_check_is_the_kernel_on_random_histories(model):
+    rng = np.random.default_rng(20261019)
+    _assert_check_is_the_kernel(
+        model,
+        (
+            random_history(rng, procs=3, ops_per_proc=3, locations=("x", "y"))
+            for _ in range(60)
+        ),
+    )
 
 
 def test_catalog_expectations_hold_under_kernel():

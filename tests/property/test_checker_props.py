@@ -48,9 +48,9 @@ def test_witness_views_are_valid(h):
 @given(history_strategy(max_procs=2))
 @RELAXED
 def test_fast_paths_agree_with_generic(h):
-    for model in ("SC", "TSO", "PRAM"):
-        m = MODELS[model]
-        assert m.check(h).allowed == m.check_generic(h).allowed, f"{model}:\n{h}"
+    # TSO is the one spec model with a fast path (SC and PRAM: E30).
+    m = MODELS["TSO"]
+    assert m.check(h).allowed == m.check_generic(h).allowed, f"TSO:\n{h}"
 
 
 @given(history_strategy())

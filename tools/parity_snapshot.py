@@ -22,7 +22,7 @@ seeded random 3x3 histories with about half their operations labeled
 under every registered model.  For every (history, model)
 pair the tool records:
 
-* the verdict, reason and ``explored`` count of ``check()`` (fast paths
+* the verdict, reason and ``explored`` count of ``check()`` (the TSO fast path
   included) and of the kernel's ``check_with_spec``;
 * the witness views of both, and the kernel's witness attribution and
   write order;
